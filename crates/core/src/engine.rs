@@ -33,13 +33,13 @@
 //! only if the parser cannot tell them apart.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use s2s_netsim::SimDuration;
+use s2s_obs::names;
 
-use crate::cache::{evict_lru, CacheStats};
+use crate::cache::{CacheStats, Lru, LruNames};
 use crate::instance::InstanceSet;
 use crate::middleware::QueryStats;
 use crate::query::QueryPlan;
@@ -103,7 +103,6 @@ impl DependencySet {
 struct PlanEntry {
     plan: Arc<QueryPlan>,
     deps: DependencySet,
-    stamp: AtomicU64,
 }
 
 /// An LRU-bounded memo of validated query plans, keyed on normalized
@@ -111,13 +110,7 @@ struct PlanEntry {
 /// re-reports its error each time.
 #[derive(Debug)]
 pub struct PlanCache {
-    entries: RwLock<HashMap<String, PlanEntry>>,
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
+    entries: RwLock<Lru<String, PlanEntry>>,
 }
 
 impl Default for PlanCache {
@@ -127,97 +120,43 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Default LRU capacity (distinct normalized query texts).
+    /// LRU capacity (distinct normalized query texts).
     pub const DEFAULT_CAPACITY: usize = 256;
 
-    /// An empty cache with the default capacity.
+    /// An empty cache.
     pub fn new() -> Self {
-        PlanCache::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// An empty cache holding at most `capacity` plans (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache {
-            entries: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
+        let names = LruNames {
+            hits: names::PLAN_CACHE_HITS_TOTAL,
+            misses: names::PLAN_CACHE_MISSES_TOTAL,
+            evictions: names::PLAN_CACHE_EVICTIONS_TOTAL,
+            invalidations: Some(names::PLAN_CACHE_INVALIDATIONS_TOTAL),
+        };
+        PlanCache { entries: RwLock::new(Lru::new(Self::DEFAULT_CAPACITY, names)) }
     }
 
     /// Looks up the plan for a normalized query text.
     pub fn get(&self, key: &str) -> Option<Arc<QueryPlan>> {
-        let hit = {
-            let entries = self.entries.read();
-            entries.get(key).map(|e| {
-                e.stamp.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-                Arc::clone(&e.plan)
-            })
-        };
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        if s2s_obs::enabled() {
-            let name = if hit.is_some() {
-                s2s_obs::names::PLAN_CACHE_HITS_TOTAL
-            } else {
-                s2s_obs::names::PLAN_CACHE_MISSES_TOTAL
-            };
-            s2s_obs::global().counter(name).inc();
-        }
-        hit
-    }
-
-    /// Stores a plan with no recorded dependencies (never dropped by
-    /// targeted invalidation), evicting the least recently used entry
-    /// at capacity.
-    pub fn insert(&self, key: String, plan: Arc<QueryPlan>) {
-        self.insert_with_deps(key, plan, DependencySet::new());
+        self.entries.read().get(key, |_| true).map(|e| Arc::clone(&e.plan))
     }
 
     /// Stores a plan together with the sources its class was mapped to
     /// at plan time, evicting the least recently used entry at
     /// capacity.
-    pub fn insert_with_deps(&self, key: String, plan: Arc<QueryPlan>, deps: DependencySet) {
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut entries = self.entries.write();
-        if !entries.contains_key(&key) && entries.len() >= self.capacity {
-            evict_lru(&mut entries, |e: &PlanEntry| &e.stamp);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if s2s_obs::enabled() {
-                s2s_obs::global().counter(s2s_obs::names::PLAN_CACHE_EVICTIONS_TOTAL).inc();
-            }
-        }
-        entries.insert(key, PlanEntry { plan, deps, stamp: AtomicU64::new(stamp) });
+    pub fn insert(&self, key: String, plan: Arc<QueryPlan>, deps: DependencySet) {
+        self.entries.write().insert(key, PlanEntry { plan, deps });
     }
 
     /// Drops every plan whose dependency set names `source`, returning
     /// how many were dropped. Called when a mapping edit touches the
     /// source; plans that never read it survive.
     pub fn invalidate_source(&self, source: &str) -> usize {
-        let dropped = {
-            let mut entries = self.entries.write();
-            let before = entries.len();
-            entries.retain(|_, e| !e.deps.depends_on(source));
-            before - entries.len()
-        };
-        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-        if dropped > 0 && s2s_obs::enabled() {
-            s2s_obs::global()
-                .counter(s2s_obs::names::PLAN_CACHE_INVALIDATIONS_TOTAL)
-                .add(dropped as u64);
-        }
-        dropped
+        self.entries.write().retain(|_, e| !e.deps.depends_on(source))
     }
 
     /// Entries dropped by targeted invalidation (distinct from LRU
     /// evictions).
     pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
+        self.entries.read().invalidations()
     }
 
     /// Number of cached plans.
@@ -227,16 +166,12 @@ impl PlanCache {
 
     /// Whether the cache holds no plans.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.len() == 0
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.entries.read().stats()
     }
 }
 
@@ -272,12 +207,9 @@ pub struct CachedResult {
 
 #[derive(Debug)]
 struct ResultEntry {
-    plan: Arc<QueryPlan>,
-    instances: Arc<InstanceSet>,
-    origin: QueryStats,
+    result: CachedResult,
     deps: DependencySet,
     inserted_at: SimDuration,
-    stamp: AtomicU64,
 }
 
 /// Entries plus the per-source invalidation floor, guarded by one lock
@@ -286,9 +218,9 @@ struct ResultEntry {
 /// race-free: a mutation first raises the floor, then drops entries;
 /// an insert whose dependencies predate the floor is refused even if it
 /// lands after the drop).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ResultState {
-    entries: HashMap<String, ResultEntry>,
+    entries: Lru<String, ResultEntry>,
     /// Highest mutation version seen per source: inserts that read an
     /// older version of the source are stale and refused.
     floors: HashMap<String, u64>,
@@ -300,11 +232,6 @@ struct ResultState {
 pub struct QueryResultCache {
     state: RwLock<ResultState>,
     config: ResultCacheConfig,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl Default for QueryResultCache {
@@ -316,15 +243,16 @@ impl Default for QueryResultCache {
 impl QueryResultCache {
     /// An empty cache with the given policy.
     pub fn new(config: ResultCacheConfig) -> Self {
-        QueryResultCache {
-            state: RwLock::new(ResultState::default()),
-            config: ResultCacheConfig { capacity: config.capacity.max(1), ..config },
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
+        let names = LruNames {
+            hits: names::RESULT_CACHE_HITS_TOTAL,
+            misses: names::RESULT_CACHE_MISSES_TOTAL,
+            evictions: names::RESULT_CACHE_EVICTIONS_TOTAL,
+            invalidations: Some(names::RESULT_CACHE_INVALIDATIONS_TOTAL),
+        };
+        let config = ResultCacheConfig { capacity: config.capacity.max(1), ..config };
+        let entries = Lru::new(config.capacity, names);
+        let state = RwLock::new(ResultState { entries, floors: HashMap::new() });
+        QueryResultCache { state, config }
     }
 
     /// The active policy.
@@ -336,52 +264,16 @@ impl QueryResultCache {
     /// simulated instant `now`. An entry past its TTL is dropped and
     /// counted as a miss.
     pub fn get(&self, key: &str, now: SimDuration) -> Option<CachedResult> {
-        let (hit, expired) = {
-            let state = self.state.read();
-            match state.entries.get(key) {
-                Some(e) if self.fresh(e, now) => {
-                    e.stamp.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-                    (
-                        Some(CachedResult {
-                            plan: Arc::clone(&e.plan),
-                            instances: Arc::clone(&e.instances),
-                            origin: e.origin,
-                        }),
-                        false,
-                    )
-                }
-                Some(_) => (None, true),
-                None => (None, false),
-            }
+        let fresh = |e: &ResultEntry| {
+            self.config.ttl.is_none_or(|ttl| now.saturating_sub(e.inserted_at) < ttl)
         };
-        if expired {
-            // Re-check under the write lock: a racing refresh may have
-            // replaced the entry with a fresh one.
-            let mut state = self.state.write();
-            if state.entries.get(key).is_some_and(|e| !self.fresh(e, now)) {
-                state.entries.remove(key);
-            }
-        }
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        if s2s_obs::enabled() {
-            let name = if hit.is_some() {
-                s2s_obs::names::RESULT_CACHE_HITS_TOTAL
-            } else {
-                s2s_obs::names::RESULT_CACHE_MISSES_TOTAL
-            };
-            s2s_obs::global().counter(name).inc();
+        let hit = self.state.read().entries.get(key, fresh).map(|e| e.result.clone());
+        if hit.is_none() && self.config.ttl.is_some() {
+            // Drop an expired entry. The check re-runs under the write
+            // lock: a racing refresh may have replaced it.
+            self.state.write().entries.remove_if(key, |e| !fresh(e));
         }
         hit
-    }
-
-    fn fresh(&self, e: &ResultEntry, now: SimDuration) -> bool {
-        match self.config.ttl {
-            Some(ttl) => now.saturating_sub(e.inserted_at) < ttl,
-            None => true,
-        }
     }
 
     /// Stores an answer produced at simulated instant `now` together
@@ -401,52 +293,23 @@ impl QueryResultCache {
         deps: DependencySet,
         now: SimDuration,
     ) -> bool {
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut state = self.state.write();
         let stale = deps
             .iter()
             .any(|(source, version)| state.floors.get(source).is_some_and(|f| version < *f));
-        if stale {
-            return false;
+        if !stale {
+            let result = CachedResult { plan, instances, origin };
+            state.entries.insert(key, ResultEntry { result, deps, inserted_at: now });
         }
-        if !state.entries.contains_key(&key) && state.entries.len() >= self.config.capacity {
-            evict_lru(&mut state.entries, |e: &ResultEntry| &e.stamp);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if s2s_obs::enabled() {
-                s2s_obs::global().counter(s2s_obs::names::RESULT_CACHE_EVICTIONS_TOTAL).inc();
-            }
-        }
-        state.entries.insert(
-            key,
-            ResultEntry {
-                plan,
-                instances,
-                origin,
-                deps,
-                inserted_at: now,
-                stamp: AtomicU64::new(stamp),
-            },
-        );
-        true
+        !stale
     }
 
-    /// Drops every cached answer — the fallback for mutations whose
-    /// blast radius no dependency set can bound (registering a *new*
-    /// source or attribute: existing answers may be missing data the
-    /// newcomer would have contributed).
-    pub fn invalidate_all(&self) {
-        let dropped = {
-            let mut state = self.state.write();
-            let n = state.entries.len();
-            state.entries.clear();
-            n as u64
-        };
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-        if dropped > 0 && s2s_obs::enabled() {
-            s2s_obs::global()
-                .counter(s2s_obs::names::RESULT_CACHE_INVALIDATIONS_TOTAL)
-                .add(dropped);
-        }
+    /// Drops every cached answer, returning how many were dropped — the
+    /// fallback for mutations whose blast radius no dependency set can
+    /// bound (registering a *new* source or attribute: existing answers
+    /// may be missing data the newcomer would have contributed).
+    pub fn invalidate_all(&self) -> usize {
+        self.state.write().entries.clear()
     }
 
     /// Surgical invalidation for a mutation of `source` producing data
@@ -455,21 +318,10 @@ impl QueryResultCache {
     /// source at an older version. Entries that never read the source
     /// replay untouched. Returns how many entries were dropped.
     pub fn invalidate_source(&self, source: &str, version: u64) -> usize {
-        let dropped = {
-            let mut state = self.state.write();
-            let floor = state.floors.entry(source.to_string()).or_insert(0);
-            *floor = (*floor).max(version);
-            let before = state.entries.len();
-            state.entries.retain(|_, e| e.deps.version_of(source).is_none_or(|v| v >= version));
-            before - state.entries.len()
-        };
-        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-        if dropped > 0 && s2s_obs::enabled() {
-            s2s_obs::global()
-                .counter(s2s_obs::names::RESULT_CACHE_INVALIDATIONS_TOTAL)
-                .add(dropped as u64);
-        }
-        dropped
+        let mut state = self.state.write();
+        let floor = state.floors.entry(source.to_string()).or_insert(0);
+        *floor = (*floor).max(version);
+        state.entries.retain(|_, e| e.deps.version_of(source).is_none_or(|v| v >= version))
     }
 
     /// Drops every entry that read `source` at *any* version, without
@@ -479,19 +331,7 @@ impl QueryResultCache {
     /// Registration holds `&mut S2s`, so no old-rule query can be in
     /// flight to race the drop. Returns how many entries were dropped.
     pub fn invalidate_dependents(&self, source: &str) -> usize {
-        let dropped = {
-            let mut state = self.state.write();
-            let before = state.entries.len();
-            state.entries.retain(|_, e| !e.deps.depends_on(source));
-            before - state.entries.len()
-        };
-        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-        if dropped > 0 && s2s_obs::enabled() {
-            s2s_obs::global()
-                .counter(s2s_obs::names::RESULT_CACHE_INVALIDATIONS_TOTAL)
-                .add(dropped as u64);
-        }
-        dropped
+        self.state.write().entries.retain(|_, e| !e.deps.depends_on(source))
     }
 
     /// Number of cached answers.
@@ -501,22 +341,18 @@ impl QueryResultCache {
 
     /// Whether the cache holds no answers.
     pub fn is_empty(&self) -> bool {
-        self.state.read().entries.is_empty()
+        self.len() == 0
     }
 
     /// Counter snapshot (hits, misses, LRU evictions).
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.state.read().entries.stats()
     }
 
     /// Entries dropped by mutation invalidation (distinct from LRU
     /// evictions).
     pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
+        self.state.read().entries.invalidations()
     }
 }
 
@@ -547,21 +383,6 @@ mod tests {
             round_trips: 0,
             cache_hits: 0,
         })
-    }
-
-    #[test]
-    fn plan_cache_hits_and_evicts() {
-        let cache = PlanCache::with_capacity(2);
-        assert!(cache.get("SELECT watch").is_none());
-        cache.insert("SELECT watch".into(), plan_of("SELECT watch"));
-        assert!(cache.get("SELECT watch").is_some());
-        cache.insert("SELECT watch WHERE price < 10".into(), plan_of("SELECT watch"));
-        // Touch the first so the second is the LRU victim.
-        assert!(cache.get("SELECT watch").is_some());
-        cache.insert("SELECT watch WHERE price < 20".into(), plan_of("SELECT watch"));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("SELECT watch WHERE price < 10").is_none());
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
@@ -756,9 +577,9 @@ mod tests {
     #[test]
     fn plan_cache_invalidates_by_mapped_source() {
         let cache = PlanCache::new();
-        cache.insert_with_deps("q1".into(), plan_of("SELECT watch"), deps_on(&[("DB", 0)]));
-        cache.insert_with_deps("q2".into(), plan_of("SELECT watch"), deps_on(&[("XML", 0)]));
-        cache.insert("q3".into(), plan_of("SELECT watch"));
+        cache.insert("q1".into(), plan_of("SELECT watch"), deps_on(&[("DB", 0)]));
+        cache.insert("q2".into(), plan_of("SELECT watch"), deps_on(&[("XML", 0)]));
+        cache.insert("q3".into(), plan_of("SELECT watch"), DependencySet::new());
         assert_eq!(cache.invalidate_source("DB"), 1);
         assert!(cache.get("q1").is_none());
         assert!(cache.get("q2").is_some());

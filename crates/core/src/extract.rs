@@ -553,7 +553,9 @@ impl ExtractorManager {
         let workers = strategy.workers();
         let batches = plan_batches(registry, schemas, rules, traced);
         if s2s_obs::enabled() {
-            s2s_obs::global().counter("s2s_extract_batches_total").add(batches.len() as u64);
+            s2s_obs::global()
+                .counter(s2s_obs::names::EXTRACT_BATCHES_TOTAL)
+                .add(batches.len() as u64);
         }
 
         let outcomes = match strategy {
@@ -851,10 +853,10 @@ fn record_report_metrics(report: &ExtractionReport) {
     }
     let metrics = s2s_obs::global();
     metrics
-        .counter("s2s_extract_tasks_total")
+        .counter(s2s_obs::names::EXTRACT_TASKS_TOTAL)
         .add((report.results.len() + report.failures.len()) as u64);
-    metrics.counter("s2s_extract_failed_tasks_total").add(report.failures.len() as u64);
-    metrics.histogram("s2s_extract_sim_us").observe(report.simulated.as_micros());
+    metrics.counter(s2s_obs::names::EXTRACT_FAILED_TASKS_TOTAL).add(report.failures.len() as u64);
+    metrics.histogram(s2s_obs::names::EXTRACT_SIM_US).observe(report.simulated.as_micros());
 }
 
 fn fill_breaker_states(

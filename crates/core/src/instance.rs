@@ -232,8 +232,8 @@ pub fn generate_with_options(
 
     if s2s_obs::enabled() {
         let m = s2s_obs::global();
-        m.counter("s2s_instances_generated_total").add(individuals.len() as u64);
-        m.counter("s2s_instance_triples_total").add(graph.len() as u64);
+        m.counter(s2s_obs::names::INSTANCES_GENERATED_TOTAL).add(individuals.len() as u64);
+        m.counter(s2s_obs::names::INSTANCE_TRIPLES_TOTAL).add(graph.len() as u64);
     }
 
     InstanceSet {

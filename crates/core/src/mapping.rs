@@ -188,10 +188,12 @@ impl AttributeMapping {
 }
 
 /// The attribute repository: all registered mappings, indexed by path
-/// and by class.
+/// (then source) and by class.
 #[derive(Debug, Clone, Default)]
 pub struct MappingModule {
-    by_path: BTreeMap<AttributePath, AttributeMapping>,
+    /// path → source → mapping: one attribute may be fed by several
+    /// sources, each with its own rule.
+    by_path: BTreeMap<AttributePath, BTreeMap<SourceId, AttributeMapping>>,
     /// class IRI → paths mapped for that class (including inherited
     /// attribute registrations made against the class itself).
     by_class: BTreeMap<Iri, Vec<AttributePath>>,
@@ -228,48 +230,44 @@ impl MappingModule {
         scenario: RecordScenario,
     ) -> Result<Option<AttributeMapping>, S2sError> {
         let resolved = path.resolve(ontology)?;
-        // Key by (path, source): extend the path with a source marker in
-        // the by_path map? Paths must stay clean; instead allow one rule
-        // per (path, source) by storing a composite key.
-        let key = composite(&path, &source);
+        if !self.by_path.contains_key(&path) {
+            self.by_class.entry(resolved.class.clone()).or_default().push(path.clone());
+        }
         let mapping = AttributeMapping {
             path: path.clone(),
-            resolved: resolved.clone(),
+            resolved,
             rule,
-            source,
+            source: source.clone(),
             scenario,
         };
-        let displaced = self.by_path.insert(key, mapping);
-        if displaced.is_none() {
-            self.by_class.entry(resolved.class).or_default().push(path);
-        }
-        Ok(displaced)
+        Ok(self.by_path.entry(path).or_default().insert(source, mapping))
     }
 
-    /// All mappings for `path`, across sources.
+    /// All mappings for `path`, across sources (in source-id order).
     pub fn mappings_for(&self, path: &AttributePath) -> Vec<&AttributeMapping> {
-        self.by_path.values().filter(|m| m.path() == path).collect()
+        self.by_path.get(path).map(|m| m.values().collect()).unwrap_or_default()
     }
 
     /// All mappings whose attribute belongs to `class` (exactly — use
     /// the ontology to expand sub/superclasses first if needed).
     pub fn mappings_for_class(&self, class: &Iri) -> Vec<&AttributeMapping> {
-        self.by_path.values().filter(|m| m.class() == class).collect()
+        let paths = self.by_class.get(class).map(Vec::as_slice).unwrap_or_default();
+        paths.iter().flat_map(|p| self.mappings_for(p)).collect()
     }
 
     /// All mappings registered against `source`.
     pub fn mappings_for_source(&self, source: &SourceId) -> Vec<&AttributeMapping> {
-        self.by_path.values().filter(|m| m.source() == source).collect()
+        self.by_path.values().filter_map(|m| m.get(source)).collect()
     }
 
-    /// Every mapping, in key order.
+    /// Every mapping, in (path, source) order.
     pub fn iter(&self) -> impl Iterator<Item = &AttributeMapping> {
-        self.by_path.values()
+        self.by_path.values().flat_map(BTreeMap::values)
     }
 
     /// Number of registered mappings.
     pub fn len(&self) -> usize {
-        self.by_path.len()
+        self.by_path.values().map(BTreeMap::len).sum()
     }
 
     /// Whether no mappings are registered.
@@ -279,18 +277,8 @@ impl MappingModule {
 
     /// Whether `path` has at least one mapping.
     pub fn contains(&self, path: &AttributePath) -> bool {
-        !self.mappings_for(path).is_empty()
+        self.by_path.contains_key(path)
     }
-}
-
-/// Composite key: path plus source id, so one attribute can be fed by
-/// several sources.
-fn composite(path: &AttributePath, source: &SourceId) -> AttributePath {
-    // Paths are ordered maps keys; a parallel composite path with the
-    // source appended keeps ordering stable and unique.
-    let mut segments: Vec<String> = path.class_segments().to_vec();
-    segments.push(format!("src-{}", source.as_str().to_ascii_lowercase().replace('_', "-")));
-    AttributePath::new(segments, path.attribute_name()).unwrap_or_else(|_| path.clone())
 }
 
 #[cfg(test)]
@@ -367,6 +355,41 @@ mod tests {
         }
         assert_eq!(m.mappings_for(&path("thing.product.brand")).len(), 2);
         assert_eq!(m.mappings_for_source(&"DB_ID_45".into()).len(), 1);
+    }
+
+    #[test]
+    fn source_ids_that_normalize_alike_keep_separate_mappings() {
+        // Ids differing only in case/`_` vs `-`, or containing `.`, are
+        // distinct sources and must each keep their own mapping.
+        let o = onto();
+        for pair in [["DB_1", "db-1"], ["shop.a", "shop.b"]] {
+            let mut m = MappingModule::new();
+            for src in pair {
+                let fresh = m
+                    .register(
+                        &o,
+                        path("thing.product.brand"),
+                        ExtractionRule::TextRegex { pattern: src.into(), group: 0 },
+                        src.into(),
+                        RecordScenario::MultiRecord,
+                    )
+                    .unwrap();
+                assert!(fresh.is_none(), "{src} displaced another source's mapping");
+            }
+            assert_eq!(m.len(), 2, "{pair:?}");
+            let found = m.mappings_for(&path("thing.product.brand"));
+            let sources: Vec<&str> = found.iter().map(|f| f.source().as_str()).collect();
+            let mut expected = pair.to_vec();
+            expected.sort_unstable();
+            assert_eq!(sources, expected);
+            for src in pair {
+                let own = m.mappings_for_source(&src.into());
+                assert_eq!(own.len(), 1);
+                assert_eq!(own[0].rule().text(), src);
+            }
+            let product = o.class_iri("Product").unwrap();
+            assert_eq!(m.mappings_for_class(&product).len(), 2);
+        }
     }
 
     #[test]

@@ -474,14 +474,7 @@ impl S2s {
     /// dropped. Called internally on mutations whose blast radius no
     /// dependency set can bound (new source/attribute registrations).
     fn invalidate_results(&self) -> usize {
-        match &self.results {
-            Some(r) => {
-                let n = r.len();
-                r.invalidate_all();
-                n
-            }
-            None => 0,
-        }
+        self.results.as_ref().map(|r| r.invalidate_all()).unwrap_or(0)
     }
 
     /// Applies a data mutation to a registered source: swaps its
@@ -507,10 +500,14 @@ impl S2s {
         fields: Vec<String>,
     ) -> Result<MutationReceipt, S2sError> {
         let sid: SourceId = id.into();
-        let version = self.registry.write().apply_mutation(&sid, connection, kind, fields)?;
+        // Invalidate while still holding the registry write lock, so no
+        // query can read the new version alongside old cached values.
+        let mut registry = self.registry.write();
+        let version = registry.apply_mutation(&sid, connection, kind, fields)?;
         let dropped_results =
             self.results.as_ref().map(|r| r.invalidate_source(id, version)).unwrap_or(0);
         let dropped_extraction = self.cache.as_ref().map(|c| c.invalidate_source(id)).unwrap_or(0);
+        drop(registry);
         if s2s_obs::enabled() {
             s2s_obs::global().counter(s2s_obs::names::SOURCE_MUTATIONS_TOTAL).inc();
         }
@@ -600,8 +597,9 @@ impl S2s {
     ///
     /// Returns [`S2sError::DuplicateSource`] on id collision.
     pub fn register_source(&mut self, id: &str, connection: Connection) -> Result<(), S2sError> {
+        self.registry.write().register_local(id, connection)?;
         self.invalidate_results();
-        self.registry.write().register_local(id, connection)
+        Ok(())
     }
 
     /// Registers a remote data source behind a simulated network
@@ -617,8 +615,9 @@ impl S2s {
         cost: CostModel,
         failure: FailureModel,
     ) -> Result<(), S2sError> {
+        self.registry.write().register_remote(id, connection, cost, failure)?;
         self.invalidate_results();
-        self.registry.write().register_remote(id, connection, cost, failure)
+        Ok(())
     }
 
     /// Registers a remote data source with an explicit endpoint seed
@@ -639,10 +638,11 @@ impl S2s {
         seed: Option<u64>,
         schedule: s2s_netsim::FaultSchedule,
     ) -> Result<(), S2sError> {
-        self.invalidate_results();
         self.registry
             .write()
-            .register_remote_detailed(id, connection, cost, failure, seed, schedule)
+            .register_remote_detailed(id, connection, cost, failure, seed, schedule)?;
+        self.invalidate_results();
+        Ok(())
     }
 
     /// Registers a remote data source with replica endpoints: the
@@ -662,8 +662,11 @@ impl S2s {
         failure: FailureModel,
         replicas: &[FailureModel],
     ) -> Result<(), S2sError> {
+        self.registry
+            .write()
+            .register_remote_with_replicas(id, connection, cost, failure, replicas)?;
         self.invalidate_results();
-        self.registry.write().register_remote_with_replicas(id, connection, cost, failure, replicas)
+        Ok(())
     }
 
     /// Appends one replica endpoint to an already registered remote
@@ -675,8 +678,9 @@ impl S2s {
     ///
     /// Returns [`S2sError::UnknownSource`] if `id` is not registered.
     pub fn add_source_replica(&mut self, id: &str, failure: FailureModel) -> Result<(), S2sError> {
+        self.registry.write().add_replica(&id.into(), failure)?;
         self.invalidate_results();
-        self.registry.write().add_replica(&id.into(), failure)
+        Ok(())
     }
 
     /// Registers an attribute mapping — the full 3-step workflow of
@@ -1141,13 +1145,15 @@ impl S2s {
                 opts.deadline,
             )
         };
-        drop(registry);
-
+        // Publish to the extraction cache before releasing the registry:
+        // a mutation invalidates under the write lock, so it either
+        // drops these entries or happened before this query read.
         if let Some(cache) = &self.cache {
             for r in &report.results {
                 cache.insert(&r.mapping, r.values.clone());
             }
         }
+        drop(registry);
         // Freshly extracted slices are (re)materialized at the version
         // the registry reported while the read lock was held.
         if let Some(views) = &self.views {
@@ -1214,7 +1220,7 @@ impl S2s {
         // deadline does not get to publish cache entries, so overload
         // casualties cannot evict plans that healthy queries rely on.
         if fresh_plan && stats.deadline_hits == 0 {
-            self.plans.insert_with_deps(key.clone(), Arc::clone(&plan), deps.clone());
+            self.plans.insert(key.clone(), Arc::clone(&plan), deps.clone());
         }
         // Wire time per source comes from the resilience telemetry
         // (batched results share one exchange, so summing per-result
@@ -1256,19 +1262,25 @@ impl S2s {
 
         if s2s_obs::enabled() {
             let metrics = s2s_obs::global();
-            metrics.counter("s2s_queries_total").inc();
+            metrics.counter(s2s_obs::names::QUERIES_TOTAL).inc();
             if stats.completeness < 1.0 {
-                metrics.counter("s2s_queries_degraded_total").inc();
+                metrics.counter(s2s_obs::names::QUERIES_DEGRADED_TOTAL).inc();
             }
-            metrics.gauge("s2s_query_completeness").set(stats.completeness);
-            metrics.histogram("s2s_query_sim_us").observe(stats.simulated.as_micros());
+            metrics.gauge(s2s_obs::names::QUERY_COMPLETENESS).set(stats.completeness);
+            metrics.histogram(s2s_obs::names::QUERY_SIM_US).observe(stats.simulated.as_micros());
             metrics
-                .histogram("s2s_query_wall_us")
+                .histogram(s2s_obs::names::QUERY_WALL_US)
                 .observe(query_started.elapsed().as_micros() as u64);
             if pushdown_plan.is_some() {
-                metrics.counter("s2s_pushdown_predicates_total").add(stats.pushed_predicates);
-                metrics.counter("s2s_pushdown_pruned_sources_total").add(stats.pruned_sources);
-                metrics.counter("s2s_pushdown_wire_bytes_saved_total").add(stats.wire_bytes_saved);
+                metrics
+                    .counter(s2s_obs::names::PUSHDOWN_PREDICATES_TOTAL)
+                    .add(stats.pushed_predicates);
+                metrics
+                    .counter(s2s_obs::names::PUSHDOWN_PRUNED_SOURCES_TOTAL)
+                    .add(stats.pruned_sources);
+                metrics
+                    .counter(s2s_obs::names::PUSHDOWN_WIRE_BYTES_SAVED_TOTAL)
+                    .add(stats.wire_bytes_saved);
             }
         }
 
@@ -1371,11 +1383,11 @@ impl S2s {
         };
         if s2s_obs::enabled() {
             let metrics = s2s_obs::global();
-            metrics.counter("s2s_queries_total").inc();
-            metrics.gauge("s2s_query_completeness").set(stats.completeness);
-            metrics.histogram("s2s_query_sim_us").observe(0);
+            metrics.counter(s2s_obs::names::QUERIES_TOTAL).inc();
+            metrics.gauge(s2s_obs::names::QUERY_COMPLETENESS).set(stats.completeness);
+            metrics.histogram(s2s_obs::names::QUERY_SIM_US).observe(0);
             metrics
-                .histogram("s2s_query_wall_us")
+                .histogram(s2s_obs::names::QUERY_WALL_US)
                 .observe(query_started.elapsed().as_micros() as u64);
         }
         let trace = if self.tracing {
@@ -1418,7 +1430,7 @@ impl S2s {
         };
         if s2s_obs::enabled() {
             let metrics = s2s_obs::global();
-            metrics.counter("s2s_queries_total").inc();
+            metrics.counter(s2s_obs::names::QUERIES_TOTAL).inc();
             metrics.counter(s2s_obs::names::OVERLOAD_SHED_TOTAL).inc();
         }
         let trace = if self.tracing {
@@ -2428,6 +2440,67 @@ mod tests {
         // 2 extraction entries + 2 cached answers.
         assert_eq!(s2s.invalidate_cache(), 4);
         assert_eq!(s2s.invalidate_cache(), 0);
+    }
+
+    #[test]
+    fn failed_registrations_keep_cached_answers() {
+        let mut s2s = deploy_two_classes();
+        s2s.query("SELECT alpha").unwrap();
+        s2s.query("SELECT beta").unwrap();
+        assert_eq!(s2s.result_cache_len(), 2);
+
+        let (cost, reliable) = (CostModel::wan(), FailureModel::reliable());
+        let dup =
+            |r: Result<(), S2sError>| assert!(matches!(r, Err(S2sError::DuplicateSource { .. })));
+        dup(s2s.register_source("SRC_A", alpha_db("x")));
+        dup(s2s.register_remote_source("SRC_A", alpha_db("x"), cost, reliable));
+        dup(s2s.register_remote_source_detailed(
+            "SRC_A",
+            alpha_db("x"),
+            cost,
+            reliable,
+            None,
+            s2s_netsim::FaultSchedule::new(),
+        ));
+        dup(s2s.register_remote_source_with_replicas("SRC_A", alpha_db("x"), cost, reliable, &[]));
+        let unknown = s2s.add_source_replica("NOPE", reliable);
+        assert!(matches!(unknown, Err(S2sError::UnknownSource { .. })));
+        assert_eq!(s2s.result_cache_len(), 2, "a refused registration drops nothing");
+
+        // A registration that succeeds still clears wholesale.
+        s2s.register_source("SRC_C", alpha_db("c")).unwrap();
+        assert_eq!(s2s.result_cache_len(), 0);
+    }
+
+    #[test]
+    fn source_ids_that_normalize_alike_each_contribute_individuals() {
+        for pair in [["DB_1", "db-1"], ["shop.a", "shop.b"]] {
+            let mut s2s = S2s::new(ontology());
+            for id in pair {
+                let mut db = Database::new("d");
+                db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, brand TEXT)").unwrap();
+                db.execute(&format!("INSERT INTO t VALUES (1, 'from {id}')")).unwrap();
+                s2s.register_source(id, Connection::Database { db: Arc::new(db) }).unwrap();
+                s2s.register_attribute(
+                    "thing.product.brand",
+                    ExtractionRule::Sql {
+                        query: "SELECT brand FROM t ORDER BY id".into(),
+                        column: "brand".into(),
+                    },
+                    id,
+                    RecordScenario::MultiRecord,
+                )
+                .unwrap();
+            }
+            assert_eq!(s2s.mapping_count(), 2, "{pair:?}");
+            let out = s2s.query("SELECT product").unwrap();
+            let mut brands: Vec<String> =
+                sole_value(&s2s, &out, "brand").split(',').map(str::to_string).collect();
+            brands.sort();
+            let mut expected: Vec<String> = pair.iter().map(|id| format!("from {id}")).collect();
+            expected.sort();
+            assert_eq!(brands, expected, "{pair:?}");
+        }
     }
 
     /// One remote database with two mapped attributes, views enabled —

@@ -199,9 +199,9 @@ pub fn parse(input: &str) -> Result<S2sqlQuery, S2sError> {
     let parsed = parse_inner(input);
     if s2s_obs::enabled() {
         let m = s2s_obs::global();
-        m.counter("s2s_query_parses_total").inc();
+        m.counter(s2s_obs::names::QUERY_PARSES_TOTAL).inc();
         if parsed.is_err() {
-            m.counter("s2s_query_parse_errors_total").inc();
+            m.counter(s2s_obs::names::QUERY_PARSE_ERRORS_TOTAL).inc();
         }
     }
     parsed

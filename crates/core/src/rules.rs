@@ -12,23 +12,20 @@
 //! Only successful compiles are cached: a malformed rule re-reports its
 //! error on every use instead of poisoning the cache.
 //!
-//! Like the extraction cache, the map is LRU-bounded
-//! ([`RuleCache::with_capacity`], default [`RuleCache::DEFAULT_CAPACITY`])
-//! so a resident engine cannot grow it without bound; evictions are
-//! counted and exported.
+//! Like the extraction cache, it is LRU-bounded at
+//! [`RuleCache::DEFAULT_CAPACITY`] entries.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use s2s_minidb::{Database, SelectStmt};
+use s2s_obs::names;
 use s2s_textmatch::Regex;
 use s2s_webdoc::WeblProgram;
 use s2s_xml::xpath::XPath;
 use s2s_xml::xquery::XQuery;
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, Lru, LruNames};
 use crate::error::S2sError;
 use crate::mapping::ExtractionRule;
 
@@ -49,21 +46,10 @@ pub enum CompiledRule {
     Regex(Arc<Regex>),
 }
 
-#[derive(Debug)]
-struct Entry {
-    rule: CompiledRule,
-    stamp: AtomicU64,
-}
-
 /// A concurrent, LRU-bounded memo of compiled extraction rules.
 #[derive(Debug)]
 pub struct RuleCache {
-    compiled: RwLock<HashMap<(&'static str, String), Entry>>,
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    compiled: RwLock<Lru<(&'static str, String), CompiledRule>>,
 }
 
 impl Default for RuleCache {
@@ -73,29 +59,18 @@ impl Default for RuleCache {
 }
 
 impl RuleCache {
-    /// Default LRU capacity (distinct `(language, text)` rules).
+    /// LRU capacity (distinct `(language, text)` rules).
     pub const DEFAULT_CAPACITY: usize = 1024;
 
-    /// An empty cache with the default capacity.
+    /// An empty cache.
     pub fn new() -> Self {
-        RuleCache::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// An empty cache holding at most `capacity` compiled rules (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        RuleCache {
-            compiled: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The LRU capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        let names = LruNames {
+            hits: names::RULE_CACHE_HITS_TOTAL,
+            misses: names::RULE_CACHE_MISSES_TOTAL,
+            evictions: names::RULE_CACHE_EVICTIONS_TOTAL,
+            invalidations: None,
+        };
+        RuleCache { compiled: RwLock::new(Lru::new(Self::DEFAULT_CAPACITY, names)) }
     }
 
     /// Returns the compiled form of `rule`, compiling on first sight.
@@ -106,31 +81,14 @@ impl RuleCache {
     /// XML, WebL, or regex errors).
     pub fn get_or_compile(&self, rule: &ExtractionRule) -> Result<CompiledRule, S2sError> {
         let key = (rule.language(), rule.text().to_string());
-        if let Some(hit) = self.compiled.read().get(&key) {
-            hit.stamp.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if s2s_obs::enabled() {
-                s2s_obs::global().counter("s2s_rule_cache_hits_total").inc();
-            }
-            return Ok(hit.rule.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if s2s_obs::enabled() {
-            s2s_obs::global().counter("s2s_rule_cache_misses_total").inc();
+        if let Some(hit) = self.compiled.read().get(&key, |_| true) {
+            return Ok(hit.clone());
         }
         let compiled = compile(rule)?;
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut entries = self.compiled.write();
         // A racing compile of the same rule is harmless: keep the first.
         if !entries.contains_key(&key) {
-            if entries.len() >= self.capacity {
-                crate::cache::evict_lru(&mut entries, |e| &e.stamp);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if s2s_obs::enabled() {
-                    s2s_obs::global().counter(s2s_obs::names::RULE_CACHE_EVICTIONS_TOTAL).inc();
-                }
-            }
-            entries.insert(key, Entry { rule: compiled.clone(), stamp: AtomicU64::new(stamp) });
+            entries.insert(key, compiled.clone());
         }
         Ok(compiled)
     }
@@ -142,7 +100,7 @@ impl RuleCache {
 
     /// Whether the cache holds no compiled rules.
     pub fn is_empty(&self) -> bool {
-        self.compiled.read().is_empty()
+        self.len() == 0
     }
 
     /// Drops every compiled rule.
@@ -152,11 +110,7 @@ impl RuleCache {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.compiled.read().stats()
     }
 }
 
@@ -240,28 +194,5 @@ mod tests {
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn capacity_evicts_least_recently_used() {
-        let cache = RuleCache::with_capacity(2);
-        let (a, b, c) = (
-            ExtractionRule::XPath { path: "//a".into() },
-            ExtractionRule::XPath { path: "//b".into() },
-            ExtractionRule::XPath { path: "//c".into() },
-        );
-        cache.get_or_compile(&a).unwrap();
-        cache.get_or_compile(&b).unwrap();
-        // Touch `a`; compiling `c` must evict `b`.
-        cache.get_or_compile(&a).unwrap();
-        cache.get_or_compile(&c).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        let before = cache.stats();
-        cache.get_or_compile(&a).unwrap();
-        cache.get_or_compile(&b).unwrap(); // recompiles: it was evicted
-        let after = cache.stats();
-        assert_eq!(after.hits - before.hits, 1);
-        assert_eq!(after.misses - before.misses, 1);
     }
 }

@@ -147,11 +147,11 @@ impl CircuitBreaker {
                 if now >= inner.opened_at + self.config.cooldown {
                     inner.state = BreakerState::HalfOpen;
                     inner.counters.half_opened += 1;
-                    bump("s2s_breaker_half_opened_total");
+                    bump(s2s_obs::names::BREAKER_HALF_OPENED_TOTAL);
                     true
                 } else {
                     inner.counters.rejected += 1;
-                    bump("s2s_breaker_rejected_total");
+                    bump(s2s_obs::names::BREAKER_REJECTED_TOTAL);
                     false
                 }
             }
@@ -163,7 +163,7 @@ impl CircuitBreaker {
         let mut inner = self.inner.lock();
         if inner.state == BreakerState::HalfOpen {
             inner.counters.closed += 1;
-            bump("s2s_breaker_closed_total");
+            bump(s2s_obs::names::BREAKER_CLOSED_TOTAL);
         }
         inner.state = BreakerState::Closed;
         inner.consecutive_failures = 0;
@@ -181,7 +181,7 @@ impl CircuitBreaker {
                 inner.opened_at = now;
                 inner.consecutive_failures = 0;
                 inner.counters.opened += 1;
-                bump("s2s_breaker_opened_total");
+                bump(s2s_obs::names::BREAKER_OPENED_TOTAL);
             }
             BreakerState::Closed => {
                 inner.consecutive_failures += 1;
@@ -190,7 +190,7 @@ impl CircuitBreaker {
                     inner.opened_at = now;
                     inner.consecutive_failures = 0;
                     inner.counters.opened += 1;
-                    bump("s2s_breaker_opened_total");
+                    bump(s2s_obs::names::BREAKER_OPENED_TOTAL);
                 }
             }
         }

@@ -271,7 +271,7 @@ impl Endpoint {
         stats.bytes += bytes as u64;
         drop(stats);
         if s2s_obs::enabled() {
-            s2s_obs::global().counter("s2s_net_bytes_total").add(bytes as u64);
+            s2s_obs::global().counter(s2s_obs::names::NET_BYTES_TOTAL).add(bytes as u64);
         }
         observe_attempt(elapsed, true);
         // With pacing on, the calling thread blocks for the scaled real
@@ -290,11 +290,11 @@ fn observe_attempt(charged: SimDuration, ok: bool) {
         return;
     }
     let metrics = s2s_obs::global();
-    metrics.counter("s2s_net_calls_total").inc();
+    metrics.counter(s2s_obs::names::NET_CALLS_TOTAL).inc();
     if !ok {
-        metrics.counter("s2s_net_failures_total").inc();
+        metrics.counter(s2s_obs::names::NET_FAILURES_TOTAL).inc();
     }
-    metrics.histogram("s2s_net_attempt_sim_us").observe(charged.as_micros());
+    metrics.histogram(s2s_obs::names::NET_ATTEMPT_SIM_US).observe(charged.as_micros());
 }
 
 #[cfg(test)]

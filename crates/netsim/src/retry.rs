@@ -243,11 +243,13 @@ fn finish<T>(outcome: RetryOutcome<T>) -> RetryOutcome<T> {
     if s2s_obs::enabled() {
         let metrics = s2s_obs::global();
         if outcome.retries() > 0 {
-            metrics.counter("s2s_retry_retries_total").add(u64::from(outcome.retries()));
-            metrics.histogram("s2s_retry_backoff_sim_us").observe(outcome.backoff.as_micros());
+            metrics.counter(s2s_obs::names::RETRY_RETRIES_TOTAL).add(u64::from(outcome.retries()));
+            metrics
+                .histogram(s2s_obs::names::RETRY_BACKOFF_SIM_US)
+                .observe(outcome.backoff.as_micros());
         }
         if outcome.deadline_hit {
-            metrics.counter("s2s_retry_deadline_hits_total").inc();
+            metrics.counter(s2s_obs::names::RETRY_DEADLINE_HITS_TOTAL).inc();
         }
     }
     outcome

@@ -57,10 +57,80 @@ pub const FEED_POLLS_TOTAL: &str = "s2s_feed_polls_total";
 /// refresh and the query that read it (the staleness window).
 pub const VIEW_STALENESS_US: &str = "s2s_view_staleness_us";
 
+/// Counter: extraction-cache hits.
+pub const EXTRACTION_CACHE_HITS_TOTAL: &str = "s2s_extraction_cache_hits_total";
+/// Counter: extraction-cache misses.
+pub const EXTRACTION_CACHE_MISSES_TOTAL: &str = "s2s_extraction_cache_misses_total";
 /// Counter: extraction-cache entries evicted by the LRU capacity bound.
 pub const EXTRACTION_CACHE_EVICTIONS_TOTAL: &str = "s2s_extraction_cache_evictions_total";
+/// Counter: compiled-rule-cache hits.
+pub const RULE_CACHE_HITS_TOTAL: &str = "s2s_rule_cache_hits_total";
+/// Counter: compiled-rule-cache misses (compiles, failed ones included).
+pub const RULE_CACHE_MISSES_TOTAL: &str = "s2s_rule_cache_misses_total";
 /// Counter: compiled-rule-cache entries evicted by the LRU bound.
 pub const RULE_CACHE_EVICTIONS_TOTAL: &str = "s2s_rule_cache_evictions_total";
+
+/// Counter: queries answered (fresh runs, result-cache replays and
+/// shed queries alike).
+pub const QUERIES_TOTAL: &str = "s2s_queries_total";
+/// Counter: fresh query runs that returned a degraded answer.
+pub const QUERIES_DEGRADED_TOTAL: &str = "s2s_queries_degraded_total";
+/// Gauge: completeness of the most recent fresh or replayed answer.
+pub const QUERY_COMPLETENESS: &str = "s2s_query_completeness";
+/// Histogram: simulated microseconds per query.
+pub const QUERY_SIM_US: &str = "s2s_query_sim_us";
+/// Histogram: wall-clock microseconds per query.
+pub const QUERY_WALL_US: &str = "s2s_query_wall_us";
+/// Counter: S2SQL texts parsed.
+pub const QUERY_PARSES_TOTAL: &str = "s2s_query_parses_total";
+/// Counter: S2SQL texts the parser rejected.
+pub const QUERY_PARSE_ERRORS_TOTAL: &str = "s2s_query_parse_errors_total";
+
+/// Counter: predicates the federated planner pushed to sources.
+pub const PUSHDOWN_PREDICATES_TOTAL: &str = "s2s_pushdown_predicates_total";
+/// Counter: sources the federated planner pruned from a query.
+pub const PUSHDOWN_PRUNED_SOURCES_TOTAL: &str = "s2s_pushdown_pruned_sources_total";
+/// Counter: response bytes pushdown kept off the wire.
+pub const PUSHDOWN_WIRE_BYTES_SAVED_TOTAL: &str = "s2s_pushdown_wire_bytes_saved_total";
+
+/// Counter: per-source extraction batches dispatched.
+pub const EXTRACT_BATCHES_TOTAL: &str = "s2s_extract_batches_total";
+/// Counter: extraction tasks run (one per mapping per query).
+pub const EXTRACT_TASKS_TOTAL: &str = "s2s_extract_tasks_total";
+/// Counter: extraction tasks that failed.
+pub const EXTRACT_FAILED_TASKS_TOTAL: &str = "s2s_extract_failed_tasks_total";
+/// Histogram: simulated microseconds per extraction run.
+pub const EXTRACT_SIM_US: &str = "s2s_extract_sim_us";
+
+/// Counter: OWL individuals generated.
+pub const INSTANCES_GENERATED_TOTAL: &str = "s2s_instances_generated_total";
+/// Counter: triples in generated instance graphs.
+pub const INSTANCE_TRIPLES_TOTAL: &str = "s2s_instance_triples_total";
+
+/// Counter: bytes exchanged with simulated endpoints.
+pub const NET_BYTES_TOTAL: &str = "s2s_net_bytes_total";
+/// Counter: endpoint call attempts.
+pub const NET_CALLS_TOTAL: &str = "s2s_net_calls_total";
+/// Counter: endpoint call attempts that failed.
+pub const NET_FAILURES_TOTAL: &str = "s2s_net_failures_total";
+/// Histogram: simulated microseconds charged per endpoint attempt.
+pub const NET_ATTEMPT_SIM_US: &str = "s2s_net_attempt_sim_us";
+
+/// Counter: retries issued after a failed attempt.
+pub const RETRY_RETRIES_TOTAL: &str = "s2s_retry_retries_total";
+/// Histogram: simulated microseconds of backoff per retried call.
+pub const RETRY_BACKOFF_SIM_US: &str = "s2s_retry_backoff_sim_us";
+/// Counter: retried calls the overall deadline cut short.
+pub const RETRY_DEADLINE_HITS_TOTAL: &str = "s2s_retry_deadline_hits_total";
+
+/// Counter: circuit breakers that tripped open.
+pub const BREAKER_OPENED_TOTAL: &str = "s2s_breaker_opened_total";
+/// Counter: open breakers that let a half-open probe through.
+pub const BREAKER_HALF_OPENED_TOTAL: &str = "s2s_breaker_half_opened_total";
+/// Counter: breakers closed again by a successful probe.
+pub const BREAKER_CLOSED_TOTAL: &str = "s2s_breaker_closed_total";
+/// Counter: calls an open breaker rejected without dialling.
+pub const BREAKER_REJECTED_TOTAL: &str = "s2s_breaker_rejected_total";
 
 /// Counter: queries refused by admission control (load shedding).
 pub const OVERLOAD_SHED_TOTAL: &str = "s2s_overload_shed_total";
@@ -133,8 +203,39 @@ mod tests {
             super::VIEW_FULL_REFRESHES_TOTAL,
             super::FEED_POLLS_TOTAL,
             super::VIEW_STALENESS_US,
+            super::EXTRACTION_CACHE_HITS_TOTAL,
+            super::EXTRACTION_CACHE_MISSES_TOTAL,
             super::EXTRACTION_CACHE_EVICTIONS_TOTAL,
+            super::RULE_CACHE_HITS_TOTAL,
+            super::RULE_CACHE_MISSES_TOTAL,
             super::RULE_CACHE_EVICTIONS_TOTAL,
+            super::QUERIES_TOTAL,
+            super::QUERIES_DEGRADED_TOTAL,
+            super::QUERY_COMPLETENESS,
+            super::QUERY_SIM_US,
+            super::QUERY_WALL_US,
+            super::QUERY_PARSES_TOTAL,
+            super::QUERY_PARSE_ERRORS_TOTAL,
+            super::PUSHDOWN_PREDICATES_TOTAL,
+            super::PUSHDOWN_PRUNED_SOURCES_TOTAL,
+            super::PUSHDOWN_WIRE_BYTES_SAVED_TOTAL,
+            super::EXTRACT_BATCHES_TOTAL,
+            super::EXTRACT_TASKS_TOTAL,
+            super::EXTRACT_FAILED_TASKS_TOTAL,
+            super::EXTRACT_SIM_US,
+            super::INSTANCES_GENERATED_TOTAL,
+            super::INSTANCE_TRIPLES_TOTAL,
+            super::NET_BYTES_TOTAL,
+            super::NET_CALLS_TOTAL,
+            super::NET_FAILURES_TOTAL,
+            super::NET_ATTEMPT_SIM_US,
+            super::RETRY_RETRIES_TOTAL,
+            super::RETRY_BACKOFF_SIM_US,
+            super::RETRY_DEADLINE_HITS_TOTAL,
+            super::BREAKER_OPENED_TOTAL,
+            super::BREAKER_HALF_OPENED_TOTAL,
+            super::BREAKER_CLOSED_TOTAL,
+            super::BREAKER_REJECTED_TOTAL,
             super::OVERLOAD_SHED_TOTAL,
             super::OVERLOAD_DEADLINE_EXCEEDED_TOTAL,
             super::HEDGE_LAUNCHED_TOTAL,
