@@ -15,8 +15,10 @@
 //!    wrapper, text extractor) and collects raw data fragments.
 //!
 //! The mediator runs serially or on a parallel worker pool
-//! ([`Strategy`]); every source access crosses a simulated network
-//! endpoint, so the report carries both real and simulated timings.
+//! ([`Strategy`]), with each source's rules batched into one wire
+//! exchange or sent one attribute at a time ([`ExtractorManager`]);
+//! every source access crosses a simulated network endpoint, so the
+//! report carries both real and simulated timings.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -329,6 +331,16 @@ impl ExtractionReport {
 }
 
 /// The mediator: executes extraction schemas against registered sources.
+///
+/// There is one extraction pipeline. `plan_batches` runs every
+/// wrapper locally and groups the surviving rules into wire units;
+/// `run_batch` sends each unit across its source's endpoint under the
+/// resilience policy; one fold collects results, failures, spans, wire
+/// bytes and makespan. The grouping is the only thing batching changes:
+/// batched, each source's rules share one coalesced exchange and units
+/// run longest-processing-time-first; per-attribute (the paper's
+/// mediator, one task per attribute), each schema is its own unit,
+/// framed as a plain exchange and run in submission order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExtractorManager;
 
@@ -359,186 +371,26 @@ impl ExtractorManager {
         Ok(schemas)
     }
 
-    /// Runs a batch of schemas (step 4 of Fig. 5), tolerating per-task
-    /// failures. Legacy single-shot behaviour: one attempt against the
-    /// primary endpoint, no failover, no breaker, one wire exchange per
-    /// attribute.
-    pub fn extract(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-    ) -> ExtractionReport {
-        Self::extract_with(
-            registry,
-            schemas,
-            strategy,
-            &ResilienceContext::new(ResiliencePolicy::none()),
-        )
-    }
-
-    /// Like [`ExtractorManager::extract`] but driven by a resilience
-    /// context: each task retries per the policy, fails over across
-    /// replica endpoints, and respects circuit breakers. The report's
-    /// `resilience` map carries the degraded-mode telemetry.
-    pub fn extract_with(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-        ctx: &ResilienceContext,
-    ) -> ExtractionReport {
-        Self::extract_with_rules(registry, schemas, strategy, ctx, &RuleCache::new())
-    }
-
-    /// The per-attribute path with a shared compiled-rule cache: one
-    /// wire exchange per schema. Kept alongside
-    /// [`ExtractorManager::extract_batched`] for the equivalence tests
-    /// and the ablation bench.
-    pub fn extract_with_rules(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-        ctx: &ResilienceContext,
-        rules: &RuleCache,
-    ) -> ExtractionReport {
-        let pool = WorkerPool::new(strategy.workers());
-        Self::extract_with_rules_traced(registry, schemas, strategy, ctx, rules, false, &pool, None)
-    }
-
-    /// [`ExtractorManager::extract_with_rules`] with optional span
-    /// collection: when `traced`, the report's `spans` carry one
-    /// `batch` span per task (this path puts each attribute on its own
-    /// wire exchange) with its `rule` child and one `attempt` child per
-    /// endpoint tried. Tasks execute on `pool` — a resident engine
-    /// passes its long-lived shared pool so concurrent queries
-    /// multiplex onto one fixed set of threads; the legacy entry points
-    /// above construct a transient pool per call. `strategy` still
-    /// sizes the *simulated* makespan accounting independently.
-    /// `deadline` is the query's remaining budget, applied per source
-    /// exchange (see [`ResiliencePolicy`] and the overload layer).
-    #[allow(clippy::too_many_arguments)]
-    pub fn extract_with_rules_traced(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-        ctx: &ResilienceContext,
-        rules: &RuleCache,
-        traced: bool,
-        pool: &WorkerPool,
-        deadline: Option<SimDuration>,
-    ) -> ExtractionReport {
-        let workers = strategy.workers();
-        let run_one = |schema: ExtractionSchema| {
-            let started = std::time::Instant::now();
-            let mut attempt_spans = if traced { Some(Vec::new()) } else { None };
-            let r = extract_one_resilient(
-                registry,
-                &schema,
-                ctx,
-                rules,
-                deadline,
-                attempt_spans.as_mut(),
-            );
-            (schema, r, attempt_spans, started.elapsed())
-        };
-        let outcomes = match strategy {
-            Strategy::Reactor { shards } => {
-                s2s_netsim::reactor::run_tasks(
-                    shards,
-                    schemas,
-                    run_one,
-                    |(_, (_, trace, _), _, _)| trace.elapsed,
-                )
-                .0
-            }
-            _ => pool.run(schemas, run_one),
-        };
-
-        let mut report = ExtractionReport::default();
-        let mut durations = Vec::new();
-        for (schema, (outcome, trace, wire), attempt_spans, wall) in outcomes {
-            let health = report.resilience.entry(schema.mapping.source().to_string()).or_default();
-            health.tasks += 1;
-            fold_trace(health, trace);
-            if let Some(attempt_spans) = attempt_spans {
-                let mut rule = Span::new(SpanKind::Rule, schema.mapping.path().to_string());
-                rule.attr("source", schema.mapping.source().to_string());
-                match &outcome {
-                    Ok((values, _)) => rule.attr("values", values.len().to_string()),
-                    Err(error) => {
-                        rule.outcome = SpanOutcome::Failed;
-                        rule.attr("error", error.to_string());
-                    }
-                }
-                let mut batch = Span::new(SpanKind::Batch, schema.mapping.source().to_string());
-                batch.sim_us = trace.elapsed.as_micros();
-                batch.wall_us = wall.as_micros() as u64;
-                batch.outcome = batch_outcome(outcome.is_err(), false, &trace);
-                batch.push(rule);
-                for span in attempt_spans {
-                    batch.push(span);
-                }
-                report.spans.push(batch);
-            }
-            match outcome {
-                Ok((values, elapsed)) => {
-                    durations.push(elapsed);
-                    report.wire_bytes += wire.total;
-                    report.wire_response_bytes += wire.response;
-                    report.wire_bytes_saved += wire.saved;
-                    report.results.push(AttributeResult {
-                        mapping: schema.mapping,
-                        values,
-                        elapsed,
-                    });
-                }
-                Err(error) => {
-                    health.failed_tasks += 1;
-                    report.failures.push(ExtractionFailure {
-                        attribute: schema.mapping.path().to_string(),
-                        source: schema.mapping.source().to_string(),
-                        error,
-                    });
-                }
-            }
-        }
-        fill_breaker_states(&mut report, registry, ctx);
-        report.simulated_serial = durations.iter().copied().sum();
-        report.simulated = makespan(&durations, simulated_workers(strategy, &durations, workers));
-        record_report_metrics(&report);
-        report
-    }
-
-    /// The batched pipeline: the planner groups the schema batch by
-    /// source, runs every wrapper locally, coalesces each group's rules
-    /// into a single `BatchRequest`/`BatchResponse` wire exchange, and
-    /// dispatches batches longest-processing-time-first so the k-worker
-    /// makespan is near-optimal.
+    /// Runs a schema batch (step 4 of Fig. 5) with one coalesced
+    /// `BatchRequest`/`BatchResponse` wire exchange per source,
+    /// dispatching batches longest-processing-time-first so the
+    /// k-worker makespan is near-optimal.
     ///
-    /// Semantics match the per-attribute paths exactly: results and
-    /// failures come back in submission order with identical values and
-    /// errors. A failed exchange retries/fails over *as a unit* and
-    /// fails every batched rule with the same network error; wrapper
-    /// errors (bad rules, missing columns) are reported individually
-    /// and never reach the wire, so one bad rule cannot sink its batch.
-    pub fn extract_batched(
-        registry: &SourceRegistry,
-        schemas: Vec<ExtractionSchema>,
-        strategy: Strategy,
-        ctx: &ResilienceContext,
-        rules: &RuleCache,
-    ) -> ExtractionReport {
-        let pool = WorkerPool::new(strategy.workers());
-        Self::extract_batched_traced(registry, schemas, strategy, ctx, rules, false, &pool, None)
-    }
-
-    /// [`ExtractorManager::extract_batched`] with optional span
-    /// collection: when `traced`, the report's `spans` carry one
-    /// `batch` span per planned wire exchange, with one `rule` child
-    /// per planned rule (rule-cache provenance included — the planner
-    /// runs serially, so the cache-stat deltas are unambiguous) and one
-    /// `attempt` child per endpoint tried. Batches execute on `pool`
-    /// (see [`ExtractorManager::extract_with_rules_traced`] for the
-    /// pool/strategy split).
+    /// Results and failures come back in submission order. A failed
+    /// exchange retries/fails over *as a unit* and fails every batched
+    /// rule with the same network error; wrapper errors (bad rules,
+    /// missing columns) are reported individually and never reach the
+    /// wire, so one bad rule cannot sink its batch.
+    ///
+    /// When `traced`, the report's `spans` carry one `batch` span per
+    /// wire unit, with one `rule` child per planned rule (rule-cache
+    /// provenance included — the planner runs serially, so the
+    /// cache-stat deltas are unambiguous) and one `attempt` child per
+    /// endpoint tried. Units execute on `pool` — a resident engine
+    /// passes its long-lived shared pool so concurrent queries
+    /// multiplex onto one fixed set of threads — while `strategy` sizes
+    /// the *simulated* makespan accounting independently. `deadline` is
+    /// the query's remaining budget, applied per source exchange.
     #[allow(clippy::too_many_arguments)]
     pub fn extract_batched_traced(
         registry: &SourceRegistry,
@@ -550,111 +402,128 @@ impl ExtractorManager {
         pool: &WorkerPool,
         deadline: Option<SimDuration>,
     ) -> ExtractionReport {
-        let workers = strategy.workers();
-        let batches = plan_batches(registry, schemas, rules, traced);
-        if s2s_obs::enabled() {
-            s2s_obs::global()
-                .counter(s2s_obs::names::EXTRACT_BATCHES_TOTAL)
-                .add(batches.len() as u64);
-        }
-
-        let outcomes = match strategy {
-            Strategy::Reactor { shards } => {
-                s2s_netsim::reactor::run_tasks(
-                    shards,
-                    batches,
-                    |batch| run_batch(batch, ctx, deadline, traced),
-                    |(_, (_, trace), _, _)| trace.elapsed,
-                )
-                .0
-            }
-            _ => pool.run(batches, |batch| run_batch(batch, ctx, deadline, traced)),
-        };
-
-        let mut report = ExtractionReport::default();
-        let mut durations = Vec::new();
-        let mut results = Vec::new();
-        let mut failures = Vec::new();
-        for (mut batch, (net, trace), attempt_spans, wall) in outcomes {
-            let health = report.resilience.entry(batch.source_id.clone()).or_default();
-            health.tasks += batch.ok.len() + batch.failed.len();
-            fold_trace(health, trace);
-            if let Some(attempt_spans) = attempt_spans {
-                let mut span = Span::new(SpanKind::Batch, batch.source_id.clone());
-                span.sim_us = trace.elapsed.as_micros();
-                span.wall_us = wall.as_micros() as u64;
-                span.outcome = batch_outcome(net.is_err(), !batch.failed.is_empty(), &trace);
-                span.attr("rules", (batch.ok.len() + batch.failed.len()).to_string());
-                span.attr("wire_bytes", batch.wire_bytes.to_string());
-                for rule_span in std::mem::take(&mut batch.rule_spans) {
-                    span.push(rule_span);
-                }
-                for attempt in attempt_spans {
-                    span.push(attempt);
-                }
-                report.spans.push(span);
-            }
-            for (i, schema, error) in batch.failed {
-                health.failed_tasks += 1;
-                failures.push((i, failure_of(&schema, error)));
-            }
-            match net {
-                Ok(elapsed) => {
-                    if !batch.ok.is_empty() {
-                        durations.push(elapsed);
-                        report.wire_bytes += batch.wire_bytes as u64;
-                        report.wire_response_bytes += batch.response_bytes as u64;
-                        report.wire_bytes_saved += batch.saved_response_bytes as u64;
-                    }
-                    for (i, schema, values) in batch.ok {
-                        results.push((
-                            i,
-                            AttributeResult { mapping: schema.mapping, values, elapsed },
-                        ));
-                    }
-                }
-                Err(error) => {
-                    // The exchange failed as a unit: every batched rule
-                    // reports the same network error.
-                    for (i, schema, _) in batch.ok {
-                        health.failed_tasks += 1;
-                        failures.push((i, failure_of(&schema, error.clone())));
-                    }
-                }
-            }
-        }
-        // Restore submission order so batched output is byte-identical
-        // to the per-attribute paths.
-        results.sort_by_key(|(i, _)| *i);
-        failures.sort_by_key(|(i, _)| *i);
-        report.results = results.into_iter().map(|(_, r)| r).collect();
-        report.failures = failures.into_iter().map(|(_, f)| f).collect();
-        fill_breaker_states(&mut report, registry, ctx);
-        report.simulated_serial = durations.iter().copied().sum();
-        report.simulated = makespan(&durations, simulated_workers(strategy, &durations, workers));
-        record_report_metrics(&report);
-        report
+        extract_planned(registry, schemas, true, strategy, ctx, rules, traced, pool, deadline)
     }
+}
+
+/// [`ExtractorManager::extract_batched_traced`] with the grouping
+/// chosen by `batching`: one unit per source, or one unit per schema
+/// (the per-attribute mode of [`crate::S2s::with_batching`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn extract_planned(
+    registry: &SourceRegistry,
+    schemas: Vec<ExtractionSchema>,
+    batching: bool,
+    strategy: Strategy,
+    ctx: &ResilienceContext,
+    rules: &RuleCache,
+    traced: bool,
+    pool: &WorkerPool,
+    deadline: Option<SimDuration>,
+) -> ExtractionReport {
+    let batches = plan_batches(registry, schemas, rules, batching, traced);
+    if s2s_obs::enabled() {
+        s2s_obs::global().counter(s2s_obs::names::EXTRACT_BATCHES_TOTAL).add(batches.len() as u64);
+    }
+
+    let outcomes = match strategy {
+        Strategy::Reactor { shards } => {
+            s2s_netsim::reactor::run_tasks(
+                shards,
+                batches,
+                |batch| run_batch(batch, ctx, deadline, traced),
+                |(_, (_, trace), _, _)| trace.elapsed,
+            )
+            .0
+        }
+        _ => pool.run(batches, |batch| run_batch(batch, ctx, deadline, traced)),
+    };
+
+    let mut report = ExtractionReport::default();
+    let mut durations = Vec::new();
+    let mut results = Vec::new();
+    let mut failures = Vec::new();
+    for (mut batch, (net, trace), attempt_spans, wall) in outcomes {
+        let health = report.resilience.entry(batch.source_id.clone()).or_default();
+        health.tasks += batch.ok.len() + batch.failed.len();
+        fold_trace(health, trace);
+        if let Some(attempt_spans) = attempt_spans {
+            let mut span = Span::new(SpanKind::Batch, batch.source_id.clone());
+            span.sim_us = trace.elapsed.as_micros();
+            span.wall_us = (batch.wrapper_wall + wall).as_micros() as u64;
+            // A unit that answered nothing (exchange down, or every rule
+            // failed in its wrapper) failed as a whole.
+            let failed = net.is_err() || batch.ok.is_empty();
+            span.outcome = batch_outcome(failed, !batch.failed.is_empty(), &trace);
+            span.attr("rules", (batch.ok.len() + batch.failed.len()).to_string());
+            span.attr("wire_bytes", batch.wire_bytes.to_string());
+            for mut rule_span in std::mem::take(&mut batch.rule_spans) {
+                if let (Err(error), SpanOutcome::Ok) = (&net, rule_span.outcome) {
+                    rule_span.outcome = SpanOutcome::Failed;
+                    rule_span.attr("error", error.to_string());
+                }
+                span.push(rule_span);
+            }
+            for attempt in attempt_spans {
+                span.push(attempt);
+            }
+            report.spans.push(span);
+        }
+        for (i, schema, error) in batch.failed {
+            health.failed_tasks += 1;
+            failures.push((i, failure_of(&schema, error)));
+        }
+        match net {
+            Ok(elapsed) => {
+                if !batch.ok.is_empty() {
+                    durations.push(elapsed);
+                    report.wire_bytes += batch.wire_bytes as u64;
+                    report.wire_response_bytes += batch.response_bytes as u64;
+                    report.wire_bytes_saved += batch.saved_response_bytes as u64;
+                }
+                for (i, schema, values) in batch.ok {
+                    results.push((i, AttributeResult { mapping: schema.mapping, values, elapsed }));
+                }
+            }
+            Err(error) => {
+                // The exchange failed as a unit: every rule it carried
+                // reports the same network error.
+                for (i, schema, _) in batch.ok {
+                    health.failed_tasks += 1;
+                    failures.push((i, failure_of(&schema, error.clone())));
+                }
+            }
+        }
+    }
+    // Restore submission order (batched units run LPT-first).
+    results.sort_by_key(|(i, _)| *i);
+    failures.sort_by_key(|(i, _)| *i);
+    report.results = results.into_iter().map(|(_, r)| r).collect();
+    report.failures = failures.into_iter().map(|(_, f)| f).collect();
+    fill_breaker_states(&mut report, registry, ctx);
+    report.simulated_serial = durations.iter().copied().sum();
+    report.simulated = makespan(&durations, simulated_workers(strategy, durations.len()));
+    record_report_metrics(&report);
+    report
 }
 
 /// The worker count the makespan accounting should assume: the
 /// strategy's thread count, except under the reactor, where every task
 /// overlaps every other (simulated makespan = max per-task cost).
-fn simulated_workers(strategy: Strategy, durations: &[SimDuration], workers: usize) -> usize {
+fn simulated_workers(strategy: Strategy, tasks: usize) -> usize {
     match strategy {
-        Strategy::Reactor { .. } => durations.len().max(1),
-        _ => workers,
+        Strategy::Reactor { .. } => tasks.max(1),
+        _ => strategy.workers(),
     }
 }
 
-/// One batch's outcome: the batch back (results/failures inside), the
+/// One unit's outcome: the unit back (results/failures inside), the
 /// wire leg's verdict and trace, optional attempt spans, wall elapsed.
 type BatchOutcome<'a> =
     (PlannedBatch<'a>, (Result<SimDuration, S2sError>, TaskTrace), Option<Vec<Span>>, Duration);
 
-/// Executes one planned batch's wire leg — the task body shared by the
-/// pooled and reactor dispatchers of
-/// [`ExtractorManager::extract_batched_traced`].
+/// Executes one planned unit's wire leg — the one extraction task body,
+/// shared by the pooled and reactor dispatchers of [`extract_planned`].
 fn run_batch<'a>(
     batch: PlannedBatch<'a>,
     ctx: &ResilienceContext,
@@ -664,11 +533,10 @@ fn run_batch<'a>(
     let started = std::time::Instant::now();
     let mut attempt_spans = if traced { Some(Vec::new()) } else { None };
     let net = if let (Some(source), false) = (batch.source, batch.ok.is_empty()) {
-        let salt = format!("{}:batch", batch.source_id);
         resilient_exchange(
             source,
             &batch.source_id,
-            &salt,
+            &batch.salt,
             batch.wire_bytes,
             ctx,
             deadline,
@@ -682,17 +550,21 @@ fn run_batch<'a>(
     (batch, net, attempt_spans, started.elapsed())
 }
 
-/// One per-source unit of batched work, planned before any wire leg.
+/// One unit of extraction work — a per-source batch, or a single
+/// attribute when batching is off — planned before any wire leg.
 struct PlannedBatch<'a> {
     source_id: String,
     source: Option<&'a RegisteredSource>,
+    /// Keeps retry-jitter draw streams distinct per unit: the source
+    /// for a batch, the attribute path for a per-attribute unit.
+    salt: String,
     /// Wrapper-successful schemas: submission index, schema, values.
     ok: Vec<(usize, ExtractionSchema, Vec<String>)>,
     /// Wrapper-failed schemas (these never reach the wire).
     failed: Vec<(usize, ExtractionSchema, S2sError)>,
-    /// Total on-wire bytes of the coalesced exchange.
+    /// Total on-wire bytes of the unit's exchange.
     wire_bytes: usize,
-    /// The `BatchResponse` frame's share of `wire_bytes`.
+    /// The response frame's share of `wire_bytes`.
     response_bytes: usize,
     /// Response payload the pushdown rewrites kept off the wire
     /// (baseline minus actual, per pushed section).
@@ -701,23 +573,42 @@ struct PlannedBatch<'a> {
     estimate: SimDuration,
     /// Per-rule trace spans in submission order (empty unless tracing).
     rule_spans: Vec<Span>,
+    /// Wall time of the local half (wrapper runs and baseline pricing);
+    /// the unit's span covers it as well as the wire leg.
+    wrapper_wall: Duration,
 }
 
-/// Groups schemas by source, runs the local wrapper half, and sizes the
-/// coalesced `BatchRequest`/`BatchResponse` exchange for each group.
+/// Groups schemas into wire units, runs the local wrapper half, and
+/// sizes each unit's exchange. Batched, every source's surviving rules
+/// share one `BatchRequest`/`BatchResponse` exchange and units are
+/// sorted longest-processing-time-first; per-attribute, every schema is
+/// its own plain request/response exchange, in submission order.
 fn plan_batches<'a>(
     registry: &'a SourceRegistry,
     schemas: Vec<ExtractionSchema>,
     rules: &RuleCache,
+    batching: bool,
     traced: bool,
 ) -> Vec<PlannedBatch<'a>> {
-    let mut groups: BTreeMap<String, Vec<(usize, ExtractionSchema)>> = BTreeMap::new();
-    for (i, s) in schemas.into_iter().enumerate() {
-        groups.entry(s.mapping.source().to_string()).or_default().push((i, s));
-    }
+    let indexed = schemas.into_iter().enumerate();
+    let groups: Vec<(String, Vec<(usize, ExtractionSchema)>)> = if batching {
+        let mut by_source: BTreeMap<String, Vec<(usize, ExtractionSchema)>> = BTreeMap::new();
+        for (i, s) in indexed {
+            by_source.entry(s.mapping.source().to_string()).or_default().push((i, s));
+        }
+        by_source.into_iter().collect()
+    } else {
+        indexed.map(|(i, s)| (s.mapping.source().to_string(), vec![(i, s)])).collect()
+    };
     let mut batches = Vec::with_capacity(groups.len());
     for (source_id, group) in groups {
+        let started = std::time::Instant::now();
         let source = registry.get(&source_id.as_str().into());
+        let salt = if batching {
+            format!("{source_id}:batch")
+        } else {
+            group[0].1.mapping.path().to_string()
+        };
         let mut ok = Vec::new();
         let mut failed = Vec::new();
         let mut rule_spans = Vec::new();
@@ -747,9 +638,8 @@ fn plan_batches<'a>(
                 Err(e) => failed.push((i, schema, e)),
             }
         }
-        // Every surviving rule travels as one section of a single
-        // BatchRequest; every value list comes back as one section of
-        // the matching BatchResponse.
+        // Every surviving rule travels as one request section; every
+        // value list comes back as one response section.
         let (wire_bytes, response_bytes, saved_response_bytes) = if ok.is_empty() {
             (0, 0, 0)
         } else {
@@ -772,17 +662,29 @@ fn plan_batches<'a>(
                     None => 0,
                 })
                 .sum();
-            (
-                batch_exchange_size(request_lens.iter().copied(), response_lens.iter().copied()),
-                batch_frame_size(response_lens.iter().copied()),
-                saved,
-            )
+            if batching {
+                (
+                    batch_exchange_size(
+                        request_lens.iter().copied(),
+                        response_lens.iter().copied(),
+                    ),
+                    batch_frame_size(response_lens.iter().copied()),
+                    saved,
+                )
+            } else {
+                (
+                    exchange_size(request_lens[0], response_lens[0]),
+                    frame_size(response_lens[0]),
+                    saved,
+                )
+            }
         };
         let estimate =
             source.map(|s| s.endpoint().cost_model().cost(wire_bytes, 0.5)).unwrap_or_default();
         batches.push(PlannedBatch {
             source_id,
             source,
+            salt,
             ok,
             failed,
             wire_bytes,
@@ -790,12 +692,18 @@ fn plan_batches<'a>(
             saved_response_bytes,
             estimate,
             rule_spans,
+            wrapper_wall: started.elapsed(),
         });
     }
-    // Longest processing time first: the greedy list scheduler (both
-    // the worker pool and the `makespan` accounting) sees the costliest
-    // batches first, which keeps the k-worker makespan near-optimal.
-    batches.sort_by(|a, b| b.estimate.cmp(&a.estimate).then_with(|| a.source_id.cmp(&b.source_id)));
+    if batching {
+        // Longest processing time first: the greedy list scheduler
+        // (both the worker pool and the `makespan` accounting) sees the
+        // costliest batches first, which keeps the k-worker makespan
+        // near-optimal.
+        batches.sort_by(|a, b| {
+            b.estimate.cmp(&a.estimate).then_with(|| a.source_id.cmp(&b.source_id))
+        });
+    }
     batches
 }
 
@@ -888,67 +796,16 @@ pub fn extract_one(
     registry: &SourceRegistry,
     mapping: &AttributeMapping,
 ) -> Result<(Vec<String>, SimDuration), S2sError> {
-    let (source, values, bytes, _) = prepare_task(registry, mapping, &RuleCache::new())?;
-    let call = source.endpoint().invoke(bytes, || ())?;
+    let source = registry.require(mapping.source())?;
+    let values = prepare_values(registry, mapping, &RuleCache::new())?;
+    let response_len = values.iter().map(String::len).sum();
+    let call = source
+        .endpoint()
+        .invoke(exchange_size(mapping.rule().text().len(), response_len), || ())?;
     Ok((values, call.elapsed))
 }
 
-/// Like [`extract_one`] but under a [`ResilienceContext`]: the network
-/// leg retries per the policy, fails over along the source's replica
-/// list on transient failures, and is gated by per-endpoint circuit
-/// breakers. Wrapper errors (bad rules, missing columns) are permanent
-/// — replicas serve the same data, so neither retry nor failover is
-/// attempted for them.
-///
-/// Returns the task outcome plus its resilience counters. The elapsed
-/// time of a success includes every failed attempt and backoff wait
-/// that led up to it.
-/// Wire accounting of one completed exchange: total bytes, the
-/// response-frame share, and the response payload a pushdown rewrite
-/// avoided versus the baseline rule.
-#[derive(Debug, Clone, Copy, Default)]
-struct WireUsage {
-    total: u64,
-    response: u64,
-    saved: u64,
-}
-
-type TaskOutcome = (Result<(Vec<String>, SimDuration), S2sError>, TaskTrace, WireUsage);
-
-fn extract_one_resilient(
-    registry: &SourceRegistry,
-    schema: &ExtractionSchema,
-    ctx: &ResilienceContext,
-    rules: &RuleCache,
-    deadline: Option<SimDuration>,
-    spans: Option<&mut Vec<Span>>,
-) -> TaskOutcome {
-    let mapping = &schema.mapping;
-    let (source, values, bytes, response_len) = match prepare_task(registry, mapping, rules) {
-        Ok(prepared) => prepared,
-        Err(e) => return (Err(e), TaskTrace::default(), WireUsage::default()),
-    };
-    let saved = match &schema.baseline {
-        Some(b) => prepare_values(registry, b, rules)
-            .map(|v| v.iter().map(String::len).sum::<usize>())
-            .unwrap_or(response_len)
-            .saturating_sub(response_len),
-        None => 0,
-    };
-    let wire = WireUsage {
-        total: bytes as u64,
-        response: frame_size(response_len) as u64,
-        saved: saved as u64,
-    };
-    let source_label = mapping.source().to_string();
-    let salt = mapping.path().to_string();
-    let (net, trace) =
-        resilient_exchange(source, &source_label, &salt, bytes, ctx, deadline, spans);
-    (net.map(|elapsed| (values, elapsed)), trace, wire)
-}
-
-/// The resilient network leg shared by the per-attribute and batched
-/// paths: retries per the policy, fails over along the source's replica
+/// The resilient network leg of every extraction unit: retries per the policy, fails over along the source's replica
 /// list on transient failures, and is gated by per-endpoint circuit
 /// breakers. `salt` keeps backoff-jitter draw streams distinct per
 /// logical task; `source_label` names the source in errors.
@@ -1129,22 +986,6 @@ fn note_deadline_exceeded() {
     }
 }
 
-/// The local half of a task: [`prepare_values`] plus wire-size
-/// accounting (request frame carrying the rule text plus response frame
-/// carrying the values). Returns the source, the values, the total
-/// exchange bytes, and the response payload length.
-fn prepare_task<'a>(
-    registry: &'a SourceRegistry,
-    mapping: &AttributeMapping,
-    rules: &RuleCache,
-) -> Result<(&'a RegisteredSource, Vec<String>, usize, usize), S2sError> {
-    let source = registry.require(mapping.source())?;
-    let values = prepare_values(registry, mapping, rules)?;
-    let response_len: usize = values.iter().map(String::len).sum();
-    let bytes = exchange_size(mapping.rule().text().len(), response_len);
-    Ok((source, values, bytes, response_len))
-}
-
 /// Source lookup, rule/kind check, wrapper run, and scenario
 /// truncation — everything local; no wire accounting. Also the
 /// pushdown planner's pricing oracle: it runs baseline rules locally
@@ -1275,6 +1116,50 @@ mod tests {
     use s2s_owl::Ontology;
     use s2s_webdoc::WebStore;
     use std::sync::Arc;
+
+    /// Runs `schemas` through the pipeline on a transient pool.
+    fn run(
+        r: &SourceRegistry,
+        schemas: Vec<ExtractionSchema>,
+        batching: bool,
+        strategy: Strategy,
+        ctx: &ResilienceContext,
+        rules: &RuleCache,
+    ) -> ExtractionReport {
+        let pool = WorkerPool::new(strategy.workers());
+        extract_planned(r, schemas, batching, strategy, ctx, rules, false, &pool, None)
+    }
+
+    /// One coalesced exchange per source.
+    fn batched(
+        r: &SourceRegistry,
+        schemas: Vec<ExtractionSchema>,
+        strategy: Strategy,
+        ctx: &ResilienceContext,
+        rules: &RuleCache,
+    ) -> ExtractionReport {
+        run(r, schemas, true, strategy, ctx, rules)
+    }
+
+    /// One exchange per attribute under `ctx`, with a fresh rule cache.
+    fn per_attribute_with(
+        r: &SourceRegistry,
+        schemas: Vec<ExtractionSchema>,
+        strategy: Strategy,
+        ctx: &ResilienceContext,
+    ) -> ExtractionReport {
+        run(r, schemas, false, strategy, ctx, &RuleCache::new())
+    }
+
+    /// One exchange per attribute, one attempt on the primary endpoint
+    /// only: no retry, no failover, no breaker.
+    fn per_attribute(
+        r: &SourceRegistry,
+        schemas: Vec<ExtractionSchema>,
+        strategy: Strategy,
+    ) -> ExtractionReport {
+        per_attribute_with(r, schemas, strategy, &ResilienceContext::new(ResiliencePolicy::none()))
+    }
 
     fn onto() -> Ontology {
         Ontology::builder("http://example.org/schema#")
@@ -1476,7 +1361,7 @@ mod tests {
             &["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()],
         )
         .unwrap();
-        let report = ExtractorManager::extract(&r, schemas, Strategy::Serial);
+        let report = per_attribute(&r, schemas, Strategy::Serial);
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.failures.len(), 1);
         assert!(!report.is_complete());
@@ -1564,16 +1449,9 @@ mod tests {
                 .collect();
             let ctx = ResilienceContext::new(ResiliencePolicy::none());
             let rules = RuleCache::new();
-            let serial = ExtractorManager::extract(&r, subset.clone(), Strategy::Serial);
-            let parallel =
-                ExtractorManager::extract(&r, subset.clone(), Strategy::Parallel { workers: 4 });
-            let batched = ExtractorManager::extract_batched(
-                &r,
-                subset,
-                Strategy::Parallel { workers: 4 },
-                &ctx,
-                &rules,
-            );
+            let serial = per_attribute(&r, subset.clone(), Strategy::Serial);
+            let parallel = per_attribute(&r, subset.clone(), Strategy::Parallel { workers: 4 });
+            let batched = batched(&r, subset, Strategy::Parallel { workers: 4 }, &ctx, &rules);
             let key = outcome_key(&serial);
             assert_eq!(key, outcome_key(&parallel), "subset {mask:#b}");
             assert_eq!(key, outcome_key(&batched), "subset {mask:#b}");
@@ -1586,14 +1464,8 @@ mod tests {
         let (m, paths) = mixed_fixture();
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let serial = ExtractorManager::extract(&r, schemas.clone(), Strategy::Serial);
-        let batched = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let serial = per_attribute(&r, schemas.clone(), Strategy::Serial);
+        let batched = batched(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
         let order = |rep: &ExtractionReport| {
             rep.results
                 .iter()
@@ -1628,13 +1500,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let report = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let report = batched(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.tasks, 2);
@@ -1666,13 +1532,7 @@ mod tests {
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx =
             ResilienceContext::new(ResiliencePolicy::none().with_retry(RetryPolicy::attempts(8)));
-        let report = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let report = batched(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
         assert!(report.is_complete(), "8 attempts at p=0.5 should land: {:?}", report.failures);
         let health = &report.resilience["R"];
         assert_eq!(health.attempts, r.get(&"R".into()).unwrap().endpoint().stats().calls);
@@ -1701,13 +1561,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = ResilienceContext::new(ResiliencePolicy::default());
-        let report = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let report = batched(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
         assert!(report.is_complete(), "{:?}", report.failures);
         let health = &report.resilience["R"];
         // One failover for the whole batch, not one per attribute.
@@ -1740,13 +1594,7 @@ mod tests {
         let rules = RuleCache::new();
         let mut failures = Vec::new();
         for _ in 0..4 {
-            let report = ExtractorManager::extract_batched(
-                &r,
-                schemas.clone(),
-                Strategy::Serial,
-                &ctx,
-                &rules,
-            );
+            let report = batched(&r, schemas.clone(), Strategy::Serial, &ctx, &rules);
             // The failed exchange fails every batched rule.
             assert_eq!(report.failures.len(), 2);
             failures.extend(report.failures);
@@ -1768,13 +1616,13 @@ mod tests {
         let ctx = ResilienceContext::new(policy);
         // First task: real attempt on the primary fails (tripping its
         // breaker), then a genuine failover to the replica.
-        let first = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let first = per_attribute_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
         assert!(first.is_complete());
         assert_eq!(first.resilience["R"].failovers, 1);
         assert_eq!(ctx.breaker("R").unwrap().state(), BreakerState::Open);
         // Second task: the primary is breaker-rejected with no attempt,
         // so serving from the replica is not a failover.
-        let second = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let second = per_attribute_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
         assert!(second.is_complete());
         let health = &second.resilience["R"];
         assert_eq!(health.breaker_rejections, 1);
@@ -1807,13 +1655,7 @@ mod tests {
             vec!["thing.product.brand".parse().unwrap(), "thing.product.price".parse().unwrap()];
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let report = ExtractorManager::extract_batched(
-            &r,
-            schemas,
-            Strategy::Serial,
-            &ctx,
-            &RuleCache::new(),
-        );
+        let report = batched(&r, schemas, Strategy::Serial, &ctx, &RuleCache::new());
         // The bad rule fails individually; the good rule still ships in
         // a 1-section batch.
         assert_eq!(report.results.len(), 1);
@@ -1830,14 +1672,13 @@ mod tests {
         let schemas = ExtractorManager::obtain_schemas(&m, &paths).unwrap();
         let ctx = ResilienceContext::new(ResiliencePolicy::none());
         let rules = RuleCache::new();
-        let _ =
-            ExtractorManager::extract_batched(&r, schemas.clone(), Strategy::Serial, &ctx, &rules);
+        let _ = batched(&r, schemas.clone(), Strategy::Serial, &ctx, &rules);
         let first = rules.stats();
         assert_eq!(first, CacheStats { hits: 0, misses: 7, evictions: 0 });
         // 6 of 7 rules compile (the broken regex never caches; the
         // unknown-column SQL parses fine and only fails at execution).
         assert_eq!(rules.len(), 6);
-        let _ = ExtractorManager::extract_batched(&r, schemas, Strategy::Serial, &ctx, &rules);
+        let _ = batched(&r, schemas, Strategy::Serial, &ctx, &rules);
         let second = rules.stats();
         assert_eq!(second.misses - first.misses, 1, "only the broken regex recompiles");
         assert_eq!(second.hits, 6);
@@ -1912,7 +1753,7 @@ mod tests {
     fn failover_reaches_healthy_replica() {
         let (r, m) = flaky_registry(FailureModel::unreachable(), &[FailureModel::reliable()]);
         let ctx = ResilienceContext::new(ResiliencePolicy::default());
-        let report = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let report = per_attribute_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
         assert!(report.is_complete(), "{:?}", report.failures);
         assert_eq!(report.completeness(), 1.0);
         let health = &report.resilience["R"];
@@ -1925,7 +1766,7 @@ mod tests {
     fn failover_disabled_keeps_failure_on_primary() {
         let (r, m) = flaky_registry(FailureModel::unreachable(), &[FailureModel::reliable()]);
         let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let report = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let report = per_attribute_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
         assert!(!report.is_complete());
         assert_eq!(report.completeness(), 0.0);
         let health = &report.resilience["R"];
@@ -1945,8 +1786,7 @@ mod tests {
         let ctx = ResilienceContext::new(policy);
         let mut failures = Vec::new();
         for _ in 0..8 {
-            let report =
-                ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+            let report = per_attribute_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
             failures.extend(report.failures);
         }
         // Two real attempts tripped the breaker; the remaining six tasks
@@ -1964,10 +1804,10 @@ mod tests {
         let policy = ResiliencePolicy::none()
             .with_breaker(BreakerConfig::new(1, SimDuration::from_millis(100)));
         let ctx = ResilienceContext::new(policy);
-        let _ = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let _ = per_attribute_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
         assert_eq!(ctx.breaker("R").unwrap().state(), BreakerState::Open);
         ctx.advance_clock(SimDuration::from_millis(200));
-        let _ = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let _ = per_attribute_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
         // The probe was admitted (and failed again): the endpoint saw a
         // second real call.
         let endpoint = r.get(&"R".into()).unwrap().endpoint().clone();
@@ -1991,7 +1831,7 @@ mod tests {
         let ctx = ResilienceContext::new(
             ResiliencePolicy::default().with_retry(RetryPolicy::attempts(3)),
         );
-        let report = ExtractorManager::extract_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
+        let report = per_attribute_with(&r, brand_schemas(&m), Strategy::Serial, &ctx);
         assert!(!report.is_complete());
         let health = &report.resilience["R"];
         // The failure happened in the wrapper, before any network leg:
@@ -2008,7 +1848,7 @@ mod tests {
         let mut schemas = brand_schemas(&m);
         schemas.extend(brand_schemas(&m));
         let ctx = ResilienceContext::new(ResiliencePolicy::none());
-        let report = ExtractorManager::extract_with(&r, schemas, Strategy::Serial, &ctx);
+        let report = per_attribute_with(&r, schemas, Strategy::Serial, &ctx);
         assert_eq!(report.completeness(), 0.0);
     }
 
@@ -2042,7 +1882,7 @@ mod tests {
             ExtractorManager::obtain_schemas(&m, &["thing.product.brand".parse().unwrap()])
                 .unwrap();
         assert_eq!(schemas.len(), 6);
-        let report = ExtractorManager::extract(&r, schemas, Strategy::Parallel { workers: 6 });
+        let report = per_attribute(&r, schemas, Strategy::Parallel { workers: 6 });
         assert!(report.is_complete());
         assert!(report.simulated < report.simulated_serial);
     }

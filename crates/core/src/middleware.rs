@@ -369,12 +369,14 @@ impl S2s {
         self.tracing
     }
 
-    /// Enables or disables batched extraction (default: enabled). When
-    /// on, the planner coalesces all rules for a source into a single
-    /// batched wire exchange and schedules per-source batches
-    /// longest-processing-time-first; when off, every attribute crosses
-    /// the network as its own request/response pair (the legacy path,
-    /// kept for equivalence testing and ablation).
+    /// Enables or disables batched extraction (default: enabled). Both
+    /// settings run the same extraction pipeline and differ only in how
+    /// it groups the query's rules into wire exchanges. When on, all
+    /// rules for a source share one batched exchange and per-source
+    /// batches run longest-processing-time-first. When off, every
+    /// attribute crosses the network as its own request/response pair,
+    /// in query order — the paper's one-task-per-attribute mediator,
+    /// kept for the E11 ablation and equivalence testing.
     pub fn with_batching(mut self, batching: bool) -> Self {
         self.batching = batching;
         self
@@ -1120,31 +1122,19 @@ impl S2s {
         let rule_cache_before = self.rules.stats();
 
         // Step 3-4: source definitions + extraction, under the
-        // resilience policy. Batched: one coalesced wire exchange per
-        // source; legacy: one exchange per attribute.
-        let mut report = if self.batching {
-            ExtractorManager::extract_batched_traced(
-                &registry,
-                schemas,
-                self.strategy,
-                &self.resilience,
-                &self.rules,
-                self.tracing,
-                &self.pool,
-                opts.deadline,
-            )
-        } else {
-            ExtractorManager::extract_with_rules_traced(
-                &registry,
-                schemas,
-                self.strategy,
-                &self.resilience,
-                &self.rules,
-                self.tracing,
-                &self.pool,
-                opts.deadline,
-            )
-        };
+        // resilience policy: one wire exchange per source when batching,
+        // one per attribute otherwise.
+        let mut report = crate::extract::extract_planned(
+            &registry,
+            schemas,
+            self.batching,
+            self.strategy,
+            &self.resilience,
+            &self.rules,
+            self.tracing,
+            &self.pool,
+            opts.deadline,
+        );
         // Publish to the extraction cache before releasing the registry:
         // a mutation invalidates under the write lock, so it either
         // drops these entries or happened before this query read.

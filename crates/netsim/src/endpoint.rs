@@ -227,6 +227,18 @@ impl Endpoint {
         bytes: usize,
         f: impl FnOnce() -> T,
     ) -> Result<RemoteCall<T>, NetError> {
+        self.charged_invoke(bytes, f).0
+    }
+
+    /// [`Endpoint::invoke`] plus the simulated time this one call was
+    /// charged, failed calls included. Concurrent calls share
+    /// `stats().total_time`, so diffing it around a call would also
+    /// charge the caller for its neighbours' calls.
+    pub(crate) fn charged_invoke<T>(
+        &self,
+        bytes: usize,
+        f: impl FnOnce() -> T,
+    ) -> (Result<RemoteCall<T>, NetError>, SimDuration) {
         let (u_draw, t_draw, j_draw) = {
             let mut rng = self.rng.lock();
             (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>())
@@ -235,37 +247,30 @@ impl Endpoint {
         let call_index = stats.calls;
         stats.calls += 1;
         let forced = self.schedule.get(call_index);
-        if forced == Some(FaultKind::Unreachable) || u_draw < self.failure.p_unreachable {
-            stats.failures += 1;
-            // A refused connection costs one base RTT.
-            stats.total_time += self.cost.base;
-            drop(stats);
-            observe_attempt(self.cost.base, false);
-            self.cost.pace(self.cost.base);
-            return Err(NetError::Unreachable { endpoint: self.id.clone() });
-        }
-        if forced == Some(FaultKind::Timeout) || t_draw < self.failure.p_timeout {
-            stats.failures += 1;
-            stats.total_time += self.failure.timeout;
-            drop(stats);
-            observe_attempt(self.failure.timeout, false);
-            self.cost.pace(self.failure.timeout);
-            return Err(NetError::Timeout {
-                endpoint: self.id.clone(),
-                timeout_us: self.failure.timeout.as_micros(),
-            });
-        }
         let elapsed = self.cost.cost(bytes, j_draw);
-        if elapsed > self.failure.timeout {
+        let failure =
+            if forced == Some(FaultKind::Unreachable) || u_draw < self.failure.p_unreachable {
+                // A refused connection costs one base RTT.
+                Some((self.cost.base, NetError::Unreachable { endpoint: self.id.clone() }))
+            } else if forced == Some(FaultKind::Timeout)
+                || t_draw < self.failure.p_timeout
+                || elapsed > self.failure.timeout
+            {
+                let timeout_us = self.failure.timeout.as_micros();
+                Some((
+                    self.failure.timeout,
+                    NetError::Timeout { endpoint: self.id.clone(), timeout_us },
+                ))
+            } else {
+                None
+            };
+        if let Some((charged, error)) = failure {
             stats.failures += 1;
-            stats.total_time += self.failure.timeout;
+            stats.total_time += charged;
             drop(stats);
-            observe_attempt(self.failure.timeout, false);
-            self.cost.pace(self.failure.timeout);
-            return Err(NetError::Timeout {
-                endpoint: self.id.clone(),
-                timeout_us: self.failure.timeout.as_micros(),
-            });
+            observe_attempt(charged, false);
+            self.cost.pace(charged);
+            return (Err(error), charged);
         }
         stats.total_time += elapsed;
         stats.bytes += bytes as u64;
@@ -278,7 +283,7 @@ impl Endpoint {
         // equivalent of the charge — this is what E13-style throughput
         // runs overlap across concurrent clients.
         self.cost.pace(elapsed);
-        Ok(RemoteCall { value: f(), elapsed })
+        (Ok(RemoteCall { value: f(), elapsed }), elapsed)
     }
 }
 

@@ -178,12 +178,9 @@ pub fn invoke_with_retry<T>(
     let mut deadline_hit = false;
     loop {
         attempts += 1;
-        // The endpoint charges its own stats; mirror its accounting by
-        // diffing total_time around the call so failed attempts charge
-        // exactly what the endpoint says they cost.
-        let before = endpoint.stats().total_time;
-        let invoked = endpoint.invoke(bytes, &mut f);
-        let mut attempt_cost = endpoint.stats().total_time.saturating_sub(before);
+        // Failed attempts charge exactly what the endpoint says this
+        // call cost — never a concurrent caller's call.
+        let (invoked, mut attempt_cost) = endpoint.charged_invoke(bytes, &mut f);
         let mut result = invoked.map(|call| call.value);
         if let Some(cap) = policy.attempt_timeout {
             if attempt_cost > cap {
@@ -381,6 +378,37 @@ mod tests {
         assert!(matches!(out.result, Err(NetError::Timeout { .. })));
         // Charged the cap, not the full slow reply.
         assert_eq!(out.elapsed, SimDuration::from_millis(10));
+    }
+
+    #[test]
+    fn concurrent_callers_are_charged_only_their_own_attempts() {
+        // Each caller pays only for its own attempts, even while other
+        // calls to the same endpoint are in flight. The remote closure
+        // meets the other callers at a barrier, so every round of four
+        // calls overlaps.
+        let ep = Endpoint::new("shared", CostModel::wan(), FailureModel::reliable(), 5);
+        let barrier = std::sync::Barrier::new(4);
+        let charged: SimDuration = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (ep, barrier) = (&ep, &barrier);
+                    scope.spawn(move || {
+                        (0..2000u64)
+                            .map(|i| {
+                                let seed = t * 10_000 + i;
+                                invoke_with_retry(ep, &RetryPolicy::none(), seed, 64, || {
+                                    barrier.wait();
+                                })
+                                .elapsed
+                            })
+                            .sum::<SimDuration>()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        assert_eq!(ep.stats().calls, 8000);
+        assert_eq!(charged, ep.stats().total_time);
     }
 
     #[test]

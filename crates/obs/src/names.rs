@@ -93,7 +93,8 @@ pub const PUSHDOWN_PRUNED_SOURCES_TOTAL: &str = "s2s_pushdown_pruned_sources_tot
 /// Counter: response bytes pushdown kept off the wire.
 pub const PUSHDOWN_WIRE_BYTES_SAVED_TOTAL: &str = "s2s_pushdown_wire_bytes_saved_total";
 
-/// Counter: per-source extraction batches dispatched.
+/// Counter: extraction wire units dispatched (one per source when
+/// batching, one per attribute otherwise).
 pub const EXTRACT_BATCHES_TOTAL: &str = "s2s_extract_batches_total";
 /// Counter: extraction tasks run (one per mapping per query).
 pub const EXTRACT_TASKS_TOTAL: &str = "s2s_extract_tasks_total";

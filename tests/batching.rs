@@ -237,3 +237,69 @@ fn renderers_annotate_round_trips_and_cache_hits() {
     let text = second.render(&o, s2s::core::instance::OutputFormat::Text);
     assert!(text.contains("# cache hits: 6"), "{text}");
 }
+
+#[test]
+fn per_attribute_accounting_is_pinned() {
+    // Per-attribute serial extraction over three WAN sources, with one
+    // extra mapping on S01 whose column does not exist: the wrapper fails
+    // locally, so that attribute never reaches the wire. The figures
+    // below are exact; any change to per-attribute framing, dispatch
+    // order, jitter salting, makespan or span outcomes moves them.
+    let mut s2s = wide(3, 2, CostModel::wan(), FailureModel::reliable(), false).with_tracing();
+    s2s.register_attribute(
+        "thing.product.s0a0",
+        ExtractionRule::Sql { query: "SELECT oops FROM t".into(), column: "oops".into() },
+        "S01",
+        RecordScenario::MultiRecord,
+    )
+    .unwrap();
+    let outcome = s2s.query("SELECT product").unwrap();
+    assert_eq!(outcome.errors().len(), 1);
+    let stats = &outcome.stats;
+    let spans: Vec<(String, String, String, u64)> = outcome
+        .trace
+        .as_ref()
+        .expect("tracing on")
+        .spans()
+        .iter()
+        .map(|s| {
+            (s.kind.as_str().to_string(), s.name.clone(), s.outcome.as_str().to_string(), s.sim_us)
+        })
+        .collect();
+    assert_eq!((stats.wire_bytes, stats.wire_response_bytes, stats.round_trips), (204, 66, 6));
+    assert_eq!(
+        (stats.simulated.as_micros(), stats.simulated_serial.as_micros()),
+        (156_492, 156_492)
+    );
+    let expected = [
+        ("query", "SELECT product", "degraded", 156_492),
+        ("parse", "s2sql", "ok", 0),
+        ("plan", "attributes", "ok", 0),
+        ("map", "mappings", "ok", 0),
+        ("batch", "S00", "ok", 25_399),
+        ("rule", "thing.product.s0a0", "ok", 0),
+        ("attempt", "S00", "ok", 25_399),
+        ("batch", "S01", "failed", 0),
+        ("rule", "thing.product.s0a0", "failed", 0),
+        ("batch", "S00", "ok", 22_128),
+        ("rule", "thing.product.s0a1", "ok", 0),
+        ("attempt", "S00", "ok", 22_128),
+        ("batch", "S01", "ok", 25_209),
+        ("rule", "thing.product.s1a0", "ok", 0),
+        ("attempt", "S01", "ok", 25_209),
+        ("batch", "S01", "ok", 25_497),
+        ("rule", "thing.product.s1a1", "ok", 0),
+        ("attempt", "S01", "ok", 25_497),
+        ("batch", "S02", "ok", 28_977),
+        ("rule", "thing.product.s2a0", "ok", 0),
+        ("attempt", "S02", "ok", 28_977),
+        ("batch", "S02", "ok", 29_282),
+        ("rule", "thing.product.s2a1", "ok", 0),
+        ("attempt", "S02", "ok", 29_282),
+    ];
+    let expected: Vec<(String, String, String, u64)> = expected
+        .iter()
+        .map(|&(kind, name, outcome, sim)| (kind.into(), name.into(), outcome.into(), sim))
+        .collect();
+    assert_eq!(spans, expected);
+}

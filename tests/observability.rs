@@ -232,3 +232,27 @@ fn endpoint_attempt_histogram_has_nonzero_percentiles() {
     assert!(h.p99() > 0.0);
     assert!(h.p99() >= h.p50());
 }
+
+#[test]
+fn every_span_outlasts_its_children() {
+    // A batch span's wall time covers its rules' wrapper runs as well
+    // as its wire leg, so no parent is ever shorter than a child.
+    for s2s in [wide_traced(6, 4), degraded_traced()] {
+        let outcome = s2s.query("SELECT product").unwrap();
+        let trace = outcome.trace.as_ref().expect("tracing on");
+        for span in trace.spans() {
+            for child in &span.children {
+                assert!(
+                    span.wall_us >= child.wall_us,
+                    "{} {} ({} us) is shorter than its child {} {} ({} us)",
+                    span.kind.as_str(),
+                    span.name,
+                    span.wall_us,
+                    child.kind.as_str(),
+                    child.name,
+                    child.wall_us
+                );
+            }
+        }
+    }
+}
