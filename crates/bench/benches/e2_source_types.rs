@@ -65,52 +65,66 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("e2_source_types");
     group.sample_size(10);
-    // One representative attribute (brand) per source type.
-    let find = |src: &str| {
-        s2s_core::extract::ExtractorManager::obtain_schemas(
-            &{
-                // Reach the mappings through a fresh module: re-register
-                // the brand mapping for this source.
-                let mut m = s2s_core::mapping::MappingModule::new();
-                let rule = match src {
-                    "DB" => s2s_core::mapping::ExtractionRule::Sql {
-                        query: "SELECT brand FROM watches ORDER BY id".into(),
-                        column: "brand".into(),
-                    },
-                    "XML" => s2s_core::mapping::ExtractionRule::XPath {
-                        path: "/catalog/watch/brand/text()".into(),
-                    },
-                    "WEB" => s2s_core::mapping::ExtractionRule::Webl {
-                        program: "var b = TagTexts(Text(PAGE), \"b\");".into(),
-                    },
-                    _ => s2s_core::mapping::ExtractionRule::TextRegex {
-                        pattern: r"brand: ([\w-]+)".into(),
-                        group: 1,
-                    },
-                };
-                m.register(
-                    &ontology(),
-                    "thing.product.watch.brand".parse().unwrap(),
-                    rule,
-                    src.into(),
-                    s2s_core::mapping::RecordScenario::MultiRecord,
-                )
-                .unwrap();
-                m
+    // One representative attribute (brand) per source type, plus two
+    // price rules over the same text: a literal-led pattern the regex VM
+    // prescans for, and a class-led one it must seed at every char.
+    let decimals = recs.iter().filter(|r| r.price.to_string().contains('.')).count();
+    let text = |pattern: &str, group| s2s_core::mapping::ExtractionRule::TextRegex {
+        pattern: pattern.into(),
+        group,
+    };
+    let cases = [
+        (
+            "DB",
+            "DB",
+            "brand",
+            s2s_core::mapping::ExtractionRule::Sql {
+                query: "SELECT brand FROM watches ORDER BY id".into(),
+                column: "brand".into(),
             },
-            &["thing.product.watch.brand".parse().unwrap()],
+            1000,
+        ),
+        (
+            "XML",
+            "XML",
+            "brand",
+            s2s_core::mapping::ExtractionRule::XPath { path: "/catalog/watch/brand/text()".into() },
+            1000,
+        ),
+        (
+            "WEB",
+            "WEB",
+            "brand",
+            s2s_core::mapping::ExtractionRule::Webl {
+                program: "var b = TagTexts(Text(PAGE), \"b\");".into(),
+            },
+            1000,
+        ),
+        ("TXT", "TXT", "brand", text(r"brand: ([\w-]+)", 1), 1000),
+        ("TXT literal-led", "TXT", "price", text(r"price: ([0-9.]+)", 1), 1000),
+        ("TXT class-led", "TXT", "price", text(r"[0-9]+\.[0-9]+", 0), decimals),
+    ];
+    // Reach the mapping through a fresh module holding just this rule.
+    let mapping = |src: &str, attr: &str, rule| {
+        let path: s2s_owl::AttributePath = format!("thing.product.watch.{attr}").parse().unwrap();
+        let mut m = s2s_core::mapping::MappingModule::new();
+        m.register(
+            &ontology(),
+            path.clone(),
+            rule,
+            src.into(),
+            s2s_core::mapping::RecordScenario::MultiRecord,
         )
-        .unwrap()
-        .remove(0)
-        .mapping
+        .unwrap();
+        s2s_core::extract::ExtractorManager::obtain_schemas(&m, &[path]).unwrap().remove(0).mapping
     };
 
-    for src in ["DB", "XML", "WEB", "TXT"] {
-        let mapping = find(src);
-        group.bench_function(src, |b| {
+    for (name, src, attr, rule, expected) in cases {
+        let mapping = mapping(src, attr, rule);
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let (values, _) = extract_one(&registry, &mapping).unwrap();
-                assert_eq!(values.len(), 1000);
+                assert_eq!(values.len(), expected);
                 values
             })
         });

@@ -478,7 +478,7 @@ pub fn plan(query: &S2sqlQuery, ontology: &Ontology) -> Result<QueryPlan, S2sErr
 /// string comparison. `LIKE` uses `%`/`_` wildcards.
 pub fn condition_matches(cond: &ResolvedCondition, value: &str) -> bool {
     if cond.op == CondOp::Like {
-        return s2s_minidb::value::like_match(value, &cond.value);
+        return s2s_textmatch::like_match(value, &cond.value);
     }
     let ord = match (value.parse::<f64>(), cond.value.parse::<f64>()) {
         (Ok(a), Ok(b)) => a.partial_cmp(&b),

@@ -1,9 +1,10 @@
 //! Query execution: predicate evaluation, index-assisted scans, joins.
 
 use crate::error::DbError;
+use crate::like::like_match;
 use crate::sql::ast::{AggFunc, CmpOp, ColumnRef, Expr, Operand, OrderDir, SelectItem, SelectStmt};
 use crate::table::Table;
-use crate::value::{like_match, Value};
+use crate::value::Value;
 
 /// A resolved column: which table in the join order, which column index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -41,6 +41,11 @@
 pub mod db;
 pub mod error;
 pub mod exec;
+// The one `LIKE` matcher, shared by source with `s2s-textmatch` (which
+// exports it as `s2s_textmatch::like_match`) rather than through a crate
+// dependency, so this engine keeps building on the standard library alone.
+#[path = "../../textmatch/src/like.rs"]
+mod like;
 pub mod schema;
 pub mod sql;
 pub mod table;

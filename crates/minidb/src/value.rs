@@ -228,28 +228,10 @@ impl From<bool> for Value {
     }
 }
 
-/// SQL `LIKE` pattern matching: `%` matches any run, `_` any single
-/// character; matching is case-sensitive.
-pub fn like_match(value: &str, pattern: &str) -> bool {
-    fn rec(v: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => v.is_empty(),
-            Some('%') => {
-                // Try every split point.
-                (0..=v.len()).any(|i| rec(&v[i..], &p[1..]))
-            }
-            Some('_') => !v.is_empty() && rec(&v[1..], &p[1..]),
-            Some(c) => v.first() == Some(c) && rec(&v[1..], &p[1..]),
-        }
-    }
-    let v: Vec<char> = value.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&v, &p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::like::like_match;
 
     #[test]
     fn sql_comparison_cross_numeric() {

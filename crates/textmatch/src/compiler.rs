@@ -40,6 +40,10 @@ pub struct Program {
     pub captures: usize,
     /// Total number of save slots = `2 * (captures + 1)`.
     pub slots: usize,
+    /// The literal chars every match starts with: the straight run of
+    /// `Char` instructions from pc 0, `Save`s skipped. Empty when the
+    /// pattern does not start with a literal.
+    pub(crate) prefix: String,
 }
 
 /// Upper bound on compiled program size, guarding against pathological
@@ -60,7 +64,22 @@ pub fn compile(ast: &Ast) -> Result<Program, RegexError> {
     c.push(Inst::Save(1))?;
     c.push(Inst::Match)?;
     let captures = c.max_group as usize;
-    Ok(Program { insts: c.insts, captures, slots: 2 * (captures + 1) })
+    let prefix = literal_prefix(&c.insts);
+    Ok(Program { insts: c.insts, captures, slots: 2 * (captures + 1), prefix })
+}
+
+/// A thread from pc 0 walks `Save`s and `Char`s in a straight line, so
+/// the chars it meets before the first other instruction begin every
+/// match.
+fn literal_prefix(insts: &[Inst]) -> String {
+    insts
+        .iter()
+        .filter(|inst| !matches!(inst, Inst::Save(_)))
+        .map_while(|inst| match inst {
+            Inst::Char(c) => Some(*c),
+            _ => None,
+        })
+        .collect()
 }
 
 struct Compiler {
@@ -219,6 +238,19 @@ mod tests {
             p.insts,
             vec![Inst::Save(0), Inst::Char('a'), Inst::Char('b'), Inst::Save(1), Inst::Match]
         );
+    }
+
+    #[test]
+    fn literal_prefix_skips_saves_and_stops_at_a_branch() {
+        assert_eq!(prog("ab").prefix, "ab");
+        assert_eq!(prog("price: ([0-9.]+)").prefix, "price: ");
+        assert_eq!(prog("(é:)x+").prefix, "é:x");
+        assert_eq!(prog("(ab)+c").prefix, "ab");
+        assert_eq!(prog("ab?").prefix, "a");
+        assert_eq!(prog("a|b").prefix, "");
+        assert_eq!(prog("^ab").prefix, "");
+        assert_eq!(prog("[0-9]+x").prefix, "");
+        assert_eq!(prog("").prefix, "");
     }
 
     #[test]

@@ -9,6 +9,8 @@
 
 use std::cmp::Ordering;
 
+use crate::like_match;
+
 /// The comparison operator of a pushed constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConstraintOp {
@@ -96,24 +98,6 @@ impl Constraint {
             ConstraintOp::Like => unreachable!("handled above"),
         }
     }
-}
-
-/// SQL `LIKE` matching: `%` matches any run, `_` any single character;
-/// case-sensitive. Semantics match `s2s_minidb::value::like_match` so
-/// a constraint pushed to a text source filters identically to the
-/// same predicate pushed to a database.
-pub fn like_match(value: &str, pattern: &str) -> bool {
-    fn rec(v: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => v.is_empty(),
-            Some('%') => (0..=v.len()).any(|i| rec(&v[i..], &p[1..])),
-            Some('_') => !v.is_empty() && rec(&v[1..], &p[1..]),
-            Some(c) => v.first() == Some(c) && rec(&v[1..], &p[1..]),
-        }
-    }
-    let v: Vec<char> = value.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&v, &p)
 }
 
 #[cfg(test)]

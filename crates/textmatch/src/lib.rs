@@ -11,7 +11,8 @@
 //!    expressed as a linear instruction program,
 //! 3. [`vm`] — a Pike-style virtual machine executing the program over the
 //!    haystack in `O(program × input)` time with full capture-group support
-//!    (no exponential backtracking).
+//!    (no exponential backtracking). Patterns that start with a literal
+//!    run skip ahead to its occurrences instead of trying every char.
 //!
 //! Supported syntax: literals, `.`, character classes (`[a-z0-9_]`,
 //! negation, escapes), predefined classes (`\d \w \s \D \W \S`), anchors
@@ -36,11 +37,13 @@ pub mod ast;
 pub mod compiler;
 pub mod constraint;
 pub mod error;
+mod like;
 pub mod sniff;
 pub mod vm;
 
-pub use constraint::{like_match, Constraint, ConstraintOp};
+pub use constraint::{Constraint, ConstraintOp};
 pub use error::RegexError;
+pub use like::like_match;
 pub use sniff::{sniff_labeled_fields, LabeledField};
 
 use compiler::Program;
@@ -194,16 +197,10 @@ impl Regex {
 
     /// Iterates over all non-overlapping matches, leftmost-first.
     ///
-    /// The haystack's character index is computed once and shared across
-    /// all iterations, so iterating over many matches stays linear.
+    /// The VM's working memory is allocated once and shared across all
+    /// iterations, so iterating over many matches stays linear.
     pub fn find_iter<'r, 'h>(&'r self, haystack: &'h str) -> FindIter<'r, 'h> {
-        FindIter {
-            regex: self,
-            haystack,
-            chars: haystack.char_indices().collect(),
-            idx: 0,
-            done: false,
-        }
+        FindIter { regex: self, haystack, cache: vm::Cache::new(&self.program), at: Some(0) }
     }
 
     /// Splits `haystack` by matches of the regex.
@@ -272,39 +269,25 @@ fn expand(replacement: &str, m: &Match<'_>, out: &mut String) {
 pub struct FindIter<'r, 'h> {
     regex: &'r Regex,
     haystack: &'h str,
-    /// Precomputed `(byte offset, char)` index of the whole haystack.
-    chars: Vec<(usize, char)>,
-    /// Index into `chars` where the next search starts.
-    idx: usize,
-    done: bool,
+    cache: vm::Cache,
+    /// Byte offset where the next search starts; `None` once exhausted.
+    at: Option<usize>,
 }
 
 impl<'r, 'h> Iterator for FindIter<'r, 'h> {
     type Item = Match<'h>;
 
     fn next(&mut self) -> Option<Match<'h>> {
-        if self.done || self.idx > self.chars.len() {
-            return None;
-        }
-        let slots = vm::search_chars(&self.regex.program, self.haystack, &self.chars[self.idx..])?;
+        let slots = self.cache.search(&self.regex.program, self.haystack, self.at?)?;
         let m = Match { haystack: self.haystack, groups: slots };
         let end = m.end();
-        if end == m.start() {
-            // Empty match: advance one char to guarantee progress.
-            if self.idx < self.chars.len() && self.chars[self.idx].0 <= end {
-                // Find the char at/after `end` and step past it.
-                while self.idx < self.chars.len() && self.chars[self.idx].0 < end {
-                    self.idx += 1;
-                }
-                self.idx += 1;
-            } else {
-                self.done = true;
-            }
+        self.at = if end > m.start() {
+            Some(end)
         } else {
-            while self.idx < self.chars.len() && self.chars[self.idx].0 < end {
-                self.idx += 1;
-            }
-        }
+            // Empty match: step past the char at `end` to guarantee
+            // progress; an empty match at the very end is the last.
+            self.haystack[end..].chars().next().map(|c| end + c.len_utf8())
+        };
         Some(m)
     }
 }
